@@ -26,6 +26,16 @@ restriction
     R, n_interior x nv, selecting interior vertices (one unit entry per
     row); R' maps interior unknowns to a conforming vector that is zero
     on the boundary.
+basis_grad
+    (gx, gy), each ns x 3: the constant partial derivatives of the three
+    local nodal basis functions on each simplex, in the simplex's vertex
+    order.  They are the nonzeros of the rows of D1 and D2.
+pattern
+    An InteriorPattern: the one n_interior x n_interior CSC sparsity
+    pattern that every interior Newton system shares, the scatter of
+    per-simplex 3 x 3 blocks into its data, and R P R' and R A R' (A the
+    stiffness) as data vectors in that pattern.  A Newton matrix is then
+    a data vector, assembled without sparse products.
 
 The assembled stiffness sum_i Di' diag(areas) Di is exposed for use as
 an independent reference in the linear (p = 2) regime.
@@ -45,6 +55,61 @@ _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 
 
 @dataclass(frozen=True)
+class InteriorPattern:
+    """Fixed CSC pattern of the interior n_i x n_i systems of one mesh.
+
+    Entry k of the flattened (ns, 3, 3) element blocks couples local
+    nodes a, b of simplex j (k = 9j + 3a + b).  ``keep`` lists the
+    entries whose row and column vertices are both interior, ``slot``
+    the CSC data index each of them adds into; entries touching the
+    boundary are dropped.  ``indices`` are sorted within each column.
+    ``mass`` and ``stiffness`` are R P R' and R A R' in this pattern.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    keep: np.ndarray
+    slot: np.ndarray
+    mass: np.ndarray
+    stiffness: np.ndarray
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """Sum (ns, 3, 3) element blocks into a data vector of the pattern."""
+        return np.bincount(self.slot, weights=blocks.ravel()[self.keep], minlength=self.indices.shape[0])
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The n_i x n_i CSC matrix holding ``data`` in this pattern."""
+        n = self.indptr.shape[0] - 1
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def _interior_pattern(
+    t: np.ndarray, interior: np.ndarray, nv: int, local_mass: np.ndarray, local_stiffness: np.ndarray
+) -> InteriorPattern:
+    ni = interior.shape[0]
+    local = np.full(nv, -1, dtype=np.int64)
+    local[interior] = np.arange(ni)
+    lt = local[t]
+    rows = np.broadcast_to(lt[:, :, None], lt.shape + (3,)).ravel()
+    cols = np.broadcast_to(lt[:, None, :], lt.shape + (3,)).ravel()
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    # Sorting the keys c*ni + r orders the entries as CSC with sorted
+    # row indices; the inverse map is each entry's data slot.
+    keys, slot = np.unique(cols[keep] * ni + rows[keep], return_inverse=True)
+    indptr = np.zeros(ni + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // ni, minlength=ni), out=indptr[1:])
+    nnz = keys.shape[0]
+    return InteriorPattern(
+        indices=(keys % ni).astype(np.int32),
+        indptr=indptr,
+        keep=keep,
+        slot=slot,
+        mass=np.bincount(slot, weights=local_mass.ravel()[keep], minlength=nnz),
+        stiffness=np.bincount(slot, weights=local_stiffness.ravel()[keep], minlength=nnz),
+    )
+
+
+@dataclass(frozen=True)
 class FemOperators:
     """Assembled sparse operators for one mesh. See module docstring."""
 
@@ -55,6 +120,8 @@ class FemOperators:
     areas: np.ndarray
     restriction: sp.csr_matrix
     interior: np.ndarray
+    basis_grad: tuple[np.ndarray, np.ndarray]
+    pattern: InteriorPattern
 
     @property
     def n_vertices(self) -> int:
@@ -124,6 +191,7 @@ def assemble(mesh: Mesh) -> FemOperators:
     broken_cols = np.broadcast_to(t[:, None, :], (ns, 3, 3)).ravel()
     broken_data = (areas[:, None, None] * _LOCAL_MASS[None, :, :]).ravel()
     broken_mass = sp.coo_matrix((broken_data, (broken_rows, broken_cols)), shape=(3 * ns, nv)).tocsr()
+    local_stiffness = areas[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
 
     interior = np.where(~mesh.boundary_vertex_flags)[0]
     ni = interior.shape[0]
@@ -139,6 +207,8 @@ def assemble(mesh: Mesh) -> FemOperators:
         areas=areas,
         restriction=restriction,
         interior=interior,
+        basis_grad=(gx, gy),
+        pattern=_interior_pattern(t, interior, nv, broken_data, local_stiffness),
     )
 
 

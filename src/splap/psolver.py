@@ -19,9 +19,16 @@ comparison purposes and is not the default.
 
 Solver: boundary unknowns are eliminated through the restriction
 matrix and the reduced problem is solved by damped Newton with Armijo
-backtracking.  For p < 2 the energy is not twice differentiable where
-a gradient vanishes, so the solve passes through a decreasing sequence
-of smoothing parameters eps (the density is evaluated at
+backtracking.  Every Newton matrix, the p = 2 presolve system and the
+mass-shifted retry are assembled into the one fixed interior CSC
+pattern of ``FemOperators.pattern``: each is a data vector, the
+interior mass plus tau times per-simplex 3 x 3 blocks of the basis
+gradients summed into precomputed slots, so no sparse product, format
+conversion or slice runs per iteration.
+
+For p < 2 the energy is not twice differentiable where a gradient
+vanishes, so the solve passes through a decreasing sequence of
+smoothing parameters eps (the density is evaluated at
 sqrt(eps**2 + g**2)), warm-starting each level and stopping at the
 floor eps = 1e-6, where the final gradient norm is measured and
 reported.  For p >= 2 no smoothing is needed and the schedule
@@ -37,7 +44,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .constitutive import GrowthParams, tensor_s_rows
-from .fem import FemOperators
+from .fem import FemOperators, InteriorPattern
 
 EPS_SCHEDULE = (1e-2, 1e-4, 1e-6)
 ARMIJO_C1 = 1e-4
@@ -186,7 +193,6 @@ def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> sp.csc_ma
     """Interior Hessian of objective(., eps) as a sparse CSC matrix."""
     u = prob.ops.prolong(_check_interior(prob, u_interior))
     p, kappa = prob.params.p, prob.params.kappa
-    d1, d2 = prob.ops.dgrad
     g1, g2, norms = _smoothed_norms(prob, u, eps)
     _raise_if_singular(norms, p, eps)
     base = kappa + norms
@@ -200,19 +206,18 @@ def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> sp.csc_ma
         w11 = areas * (a0 + b0 * g1 * g1)
         w22 = areas * (a0 + b0 * g2 * g2)
         w12 = areas * (b0 * g1 * g2)
-        h = (
-            d1.T @ d1.multiply(w11[:, None])
-            + d2.T @ d2.multiply(w22[:, None])
-            + d1.T @ d2.multiply(w12[:, None])
-            + d2.T @ d1.multiply(w12[:, None])
-        )
     else:
         w11 = areas * (a[:, 0] + b[:, 0] * g1 * g1)
         w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
-        h = d1.T @ d1.multiply(w11[:, None]) + d2.T @ d2.multiply(w22[:, None])
-    full = prob.ops.mass + prob.tau_m * h
-    interior = prob.ops.interior
-    return full.tocsr()[interior, :].tocsc()[:, interior]
+        w12 = np.zeros_like(w11)
+    # Per simplex, the 3 x 3 block gx (x) (w11 gx + w12 gy) + gy (x) (w12 gx + w22 gy)
+    # of the local basis gradients, summed into the fixed interior pattern.
+    gx, gy = prob.ops.basis_grad
+    hx = w11[:, None] * gx + w12[:, None] * gy
+    hy = w12[:, None] * gx + w22[:, None] * gy
+    blocks = gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :]
+    pattern = prob.ops.pattern
+    return pattern.matrix(pattern.mass + prob.tau_m * pattern.scatter(blocks))
 
 
 def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
@@ -240,20 +245,18 @@ def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) ->
     return float(np.linalg.norm(r[prob.ops.interior]))
 
 
-def _interior_mass(prob: StepProblem) -> sp.csc_matrix:
-    interior = prob.ops.interior
-    return prob.ops.mass.tocsr()[interior, :].tocsc()[:, interior]
+def _newton_direction(h: sp.csc_matrix, g: np.ndarray, pattern: InteriorPattern) -> np.ndarray:
+    """Solve h d = -g; on factorization trouble retry with a mass shift.
 
-
-def _newton_direction(h: sp.csc_matrix, g: np.ndarray, mass_ii: sp.csc_matrix) -> np.ndarray:
-    """Solve h d = -g; on factorization trouble retry with a mass shift."""
+    h must hold its data in ``pattern``, as the matrices of _hessian do.
+    """
     d = None
     try:
         d = splu(h).solve(-g)
     except RuntimeError:
         d = None
     if d is None or not np.all(np.isfinite(d)) or float(g @ d) >= 0.0:
-        shifted = (h + HESSIAN_SHIFT * mass_ii).tocsc()
+        shifted = pattern.matrix(h.data + HESSIAN_SHIFT * pattern.mass)
         try:
             d = splu(shifted).solve(-g)
         except RuntimeError as exc:
@@ -263,7 +266,7 @@ def _newton_direction(h: sp.csc_matrix, g: np.ndarray, mass_ii: sp.csc_matrix) -
     return d
 
 
-def _minimize_level(prob, u, eps, target, max_iter, trace, mass_ii):
+def _minimize_level(prob, u, eps, target, max_iter, trace):
     """Damped Newton at a fixed smoothing level. Returns (u, iterations)."""
     g = gradient(prob, u, eps)
     f = objective(prob, u, eps)
@@ -278,7 +281,7 @@ def _minimize_level(prob, u, eps, target, max_iter, trace, mass_ii):
             exc.iterations_done = it
             exc.grad_norm = gn
             raise exc
-        d = _newton_direction(_hessian(prob, u, eps), g, mass_ii)
+        d = _newton_direction(_hessian(prob, u, eps), g, prob.ops.pattern)
         slope = float(g @ d)
         if abs(slope) * 0.5 < 1e-15 * (1.0 + abs(f)):
             # Newton's own predicted decrease is below the float
@@ -314,12 +317,9 @@ def _schedule(params: GrowthParams) -> list[float]:
 
 def _presolve(prob: StepProblem) -> np.ndarray:
     """Minimizer of the p=2 surrogate step (P + tau A) u = load."""
-    d1, d2 = prob.ops.dgrad
-    w = sp.diags(prob.ops.areas)
-    full = prob.ops.mass + prob.tau_m * (d1.T @ w @ d1 + d2.T @ w @ d2)
-    interior = prob.ops.interior
-    sys = full.tocsr()[interior, :].tocsc()[:, interior]
-    return splu(sys.tocsc()).solve(prob.load[interior])
+    pattern = prob.ops.pattern
+    system = pattern.matrix(pattern.mass + prob.tau_m * pattern.stiffness)
+    return splu(system).solve(prob.load[prob.ops.interior])
 
 
 def solve_step(
@@ -342,7 +342,6 @@ def solve_step(
         raise ValueError(f"tol must be positive, got {tol!r}")
     warm_start = _check_interior(prob, warm_start)
     levels = _schedule(prob.params)
-    mass_ii = _interior_mass(prob)
 
     # A p=2 surrogate solve is a far better starting point than a cold
     # warm start (large steps otherwise send Newton on a slow trek
@@ -360,7 +359,7 @@ def solve_step(
         anchor = warm_start if last else u
         try:
             target = tol * (1.0 + float(np.linalg.norm(gradient(prob, anchor, eps))))
-            u, it = _minimize_level(prob, u, eps, target, max_iter, trace, mass_ii)
+            u, it = _minimize_level(prob, u, eps, target, max_iter, trace)
         except ConvergenceError as exc:
             exc.report = SolveReport(
                 iterations=total_iterations + getattr(exc, "iterations_done", 0),

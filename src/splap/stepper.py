@@ -97,14 +97,11 @@ def grid_path_indices(grid: TimeGrid, path: NoisePath) -> np.ndarray:
 def run_trajectory(cfg: SchemeConfig) -> Trajectory:
     """March the scheme across the whole grid."""
     ops = cfg.ops
-    initial = np.asarray(cfg.initial, dtype=float)
-    if initial.shape != (ops.n_vertices,):
-        raise ValueError(f"initial state must have {ops.n_vertices} coefficients")
     idx = grid_path_indices(cfg.grid, cfg.path)
     n_steps = cfg.grid.n_steps
 
     states = np.empty((n_steps + 1, ops.n_vertices))
-    u = initial.copy()
+    u = cfg.initial.copy()
     if cfg.clip_initial:
         u[ops.mesh.boundary_vertex_flags] = 0.0
     states[0] = u

@@ -39,7 +39,6 @@ from .mesh import Mesh
 _MASK64 = (1 << 64) - 1
 
 PATH_MAGIC = b"SPLAPW1"
-TRAJECTORY_MAGIC = b"SPLAPT1"
 
 
 def _splitmix64(x: int) -> int:

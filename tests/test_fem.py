@@ -173,3 +173,30 @@ def test_single_triangle_quadrature_oracle():
     area = 1.0
     expected = area / 6.0 * (1.0 + 4.0 + 9.0 + (-2.0) + 3.0 + (-6.0))
     assert np.isclose(u @ (ops.mass @ u), expected, rtol=1e-13)
+
+
+def test_interior_pattern_holds_restricted_operators():
+    # the pattern's mass and stiffness data are R P R' and R A R' exactly
+    # in canonical CSC form; the kept blocks are the interior-interior ones
+    for m in (generate_unit_square(1), generate_unit_square(2), generate_unit_square(5)):
+        ops = assemble(m)
+        pattern = ops.pattern
+        r = ops.restriction
+        mass = pattern.matrix(pattern.mass)
+        assert mass.shape == (ops.n_interior, ops.n_interior)
+        assert mass.has_canonical_format
+        assert np.allclose(mass.toarray(), (r @ ops.mass @ r.T).toarray(), rtol=1e-14, atol=0.0)
+        stiffness = pattern.matrix(pattern.stiffness).toarray()
+        assert np.allclose(stiffness, (r @ ops.stiffness() @ r.T).toarray(), rtol=1e-13, atol=1e-13)
+        inner = ~m.boundary_vertex_flags[m.simplices]
+        assert pattern.keep.shape[0] == int(np.sum(inner[:, :, None] & inner[:, None, :]))
+
+
+def test_basis_gradients_are_the_derivative_rows():
+    m = generate_unit_square(3)
+    ops = assemble(m)
+    d1, d2 = ops.dgrad
+    gx, gy = ops.basis_grad
+    rows = np.arange(m.n_simplices)[:, None]
+    assert np.array_equal(d1.toarray()[rows, m.simplices], gx)
+    assert np.array_equal(d2.toarray()[rows, m.simplices], gy)

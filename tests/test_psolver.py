@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.spatial import Delaunay
 
+import splap.psolver
 from splap.constitutive import GrowthParams, tensor_s_rows
 from splap.fem import assemble, gradient_per_simplex
-from splap.mesh import generate_unit_square
+from splap.mesh import _signed_areas, generate_unit_square, make_mesh
 from splap.psolver import (
     ConvergenceError,
     EPS_SCHEDULE,
+    HESSIAN_SHIFT,
     SingularityError,
     StepProblem,
+    _hessian,
+    _newton_direction,
+    _presolve,
     gradient,
     kkt_residual,
     objective,
@@ -38,6 +44,70 @@ def linear_oracle(prob):
     r = ops.restriction
     system = r @ (ops.mass + prob.tau_m * ops.stiffness()) @ r.T
     return spla.spsolve(sp.csc_matrix(system), r @ prob.load)
+
+
+def jittered_mesh(n, seed):
+    """Delaunay mesh of a unit-square grid with jittered interior vertices.
+
+    The vertices are renumbered at random, so neither the connectivity
+    nor the numbering follows the structured grid.
+    """
+    rng = np.random.default_rng(seed)
+    verts = generate_unit_square(n).vertices.copy()
+    inner = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[inner] += rng.uniform(-0.3 / n, 0.3 / n, size=(int(inner.sum()), 2))
+    verts = verts[rng.permutation(verts.shape[0])]
+    tris = Delaunay(verts).simplices.astype(np.int64)
+    flip = _signed_areas(verts, tris) < 0.0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return make_mesh(verts, tris)
+
+
+def sparse_product_hessian(prob, u_interior, eps):
+    """Interior Hessian of objective(., eps) by sparse products.
+
+    The assembly the solver used before the fixed-pattern one: per
+    simplex weights times D1, D2 rows, summed as Di' W Dj, then sliced to
+    the interior rows and columns.
+    """
+    ops = prob.ops
+    u = ops.prolong(u_interior)
+    p, kappa = prob.params.p, prob.params.kappa
+    d1, d2 = ops.dgrad
+    g1 = d1 @ u
+    g2 = d2 @ u
+    if prob.formulation == "euclidean":
+        norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)[:, None]
+    else:
+        norms = np.column_stack([np.sqrt(eps * eps + g1 * g1), np.sqrt(eps * eps + g2 * g2)])
+    base = kappa + norms
+    a = base ** (p - 2.0)
+    b = np.zeros_like(norms)
+    pos = norms > 0.0
+    b[pos] = (p - 2.0) * base[pos] ** (p - 3.0) / norms[pos]
+    areas = ops.areas
+    if prob.formulation == "euclidean":
+        a0, b0 = a[:, 0], b[:, 0]
+        w11 = areas * (a0 + b0 * g1 * g1)
+        w22 = areas * (a0 + b0 * g2 * g2)
+        w12 = areas * (b0 * g1 * g2)
+        h = (
+            d1.T @ d1.multiply(w11[:, None])
+            + d2.T @ d2.multiply(w22[:, None])
+            + d1.T @ d2.multiply(w12[:, None])
+            + d2.T @ d1.multiply(w12[:, None])
+        )
+    else:
+        w11 = areas * (a[:, 0] + b[:, 0] * g1 * g1)
+        w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
+        h = d1.T @ d1.multiply(w11[:, None]) + d2.T @ d2.multiply(w22[:, None])
+    full = ops.mass + prob.tau_m * h
+    interior = ops.interior
+    return full.tocsr()[interior, :].tocsc()[:, interior]
+
+
+def oracle_meshes():
+    return {"structured": generate_unit_square(8), "jittered": jittered_mesh(8, seed=3)}
 
 
 def test_step_problem_validation():
@@ -312,3 +382,89 @@ def test_solver_tolerance_validation():
         solve_step(prob, np.zeros(prob.ops.n_interior), tol=0.0)
     with pytest.raises(ValueError):
         gradient(prob, np.zeros(prob.ops.n_interior), eps=-1.0)
+
+
+HESSIAN_CASES = [
+    (p, formulation, eps)
+    for p in (1.1, 1.5, 2.5)
+    for formulation in ("euclidean", "componentwise")
+    for eps in (1e-2, 1e-6)
+] + [(2.5, "euclidean", 0.0), (2.5, "componentwise", 0.0)]
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("p, formulation, eps", HESSIAN_CASES)
+def test_hessian_matches_sparse_product_oracle(mesh_name, p, formulation, eps):
+    ops = assemble(oracle_meshes()[mesh_name])
+    rng = np.random.default_rng(int(100 * p) + int(eps == 0.0))
+    prob = StepProblem(
+        ops=ops,
+        params=GrowthParams(p),
+        tau_m=0.3,
+        forcing=rng.standard_normal(3 * ops.n_simplices),
+        formulation=formulation,
+    )
+    for _ in range(3):
+        u = rng.standard_normal(ops.n_interior)
+        fast = _hessian(prob, u, eps)
+        oracle = sparse_product_hessian(prob, u, eps)
+        assert isinstance(fast, sp.csc_matrix) and fast.shape == oracle.shape
+        dense = oracle.toarray()
+        np.testing.assert_allclose(fast.toarray(), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+def test_presolve_system_matches_restricted_operators(mesh_name, monkeypatch):
+    ops = assemble(oracle_meshes()[mesh_name])
+    rng = np.random.default_rng(12)
+    prob = StepProblem(
+        ops=ops, params=GrowthParams(1.5), tau_m=0.07, forcing=rng.standard_normal(3 * ops.n_simplices)
+    )
+    factored = []
+
+    def recording_splu(matrix):
+        factored.append(matrix)
+        return spla.splu(matrix)
+
+    monkeypatch.setattr(splap.psolver, "splu", recording_splu)
+    u = _presolve(prob)
+    r = ops.restriction
+    oracle = (r @ (ops.mass + prob.tau_m * ops.stiffness()) @ r.T).toarray()
+    assert len(factored) == 1
+    np.testing.assert_allclose(factored[0].toarray(), oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+    np.testing.assert_allclose(u, linear_oracle(prob), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
+def test_hessian_columns_match_finite_differences(p, formulation):
+    ops = assemble(jittered_mesh(5, seed=7))
+    rng = np.random.default_rng(int(10 * p))
+    prob = StepProblem(
+        ops=ops,
+        params=GrowthParams(p),
+        tau_m=0.2,
+        forcing=rng.standard_normal(3 * ops.n_simplices),
+        formulation=formulation,
+    )
+    eps = 1e-2
+    u = rng.standard_normal(ops.n_interior)
+    h = _hessian(prob, u, eps).toarray()
+    step = 1e-6
+    for k in rng.choice(ops.n_interior, size=5, replace=False):
+        e = np.zeros(ops.n_interior)
+        e[k] = step
+        fd = (gradient(prob, u + e, eps) - gradient(prob, u - e, eps)) / (2.0 * step)
+        np.testing.assert_allclose(h[:, k], fd, rtol=1e-5, atol=1e-6 * np.abs(h[:, k]).max())
+
+
+def test_newton_direction_falls_back_to_mass_shift():
+    # an all-zero Hessian is exactly singular: the retry factorizes the
+    # shifted matrix HESSIAN_SHIFT * R P R' on the same pattern
+    ops = assemble(jittered_mesh(4, seed=5))
+    pattern = ops.pattern
+    g = np.random.default_rng(13).standard_normal(ops.n_interior)
+    d = _newton_direction(pattern.matrix(np.zeros_like(pattern.mass)), g, pattern)
+    mass_ii = ops.restriction @ ops.mass @ ops.restriction.T
+    expected = spla.spsolve(sp.csc_matrix(HESSIAN_SHIFT * mass_ii), -g)
+    np.testing.assert_allclose(d, expected, rtol=1e-10)
