@@ -208,58 +208,6 @@ def corrected_rate(a_measured: float, taus, tau_tilde: float) -> tuple[float, fl
     return a, a / 2.0
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Rate summary of one exponent p."""
-
-    a_biased: float
-    stderr_biased: float
-    log_c_biased: float
-    a_corrected: float
-    alpha: float
-    replicate_slopes: tuple
-
-    @property
-    def replicate_slope_mean(self) -> float:
-        return float(np.mean(self.replicate_slopes)) if self.replicate_slopes else float("nan")
-
-    @property
-    def replicate_slope_std(self) -> float:
-        if len(self.replicate_slopes) < 2:
-            return 0.0
-        return float(np.std(self.replicate_slopes, ddof=1))
-
-
-def estimate_rates(taus, per_replicate_totals, tau_tilde: float) -> RateEstimate:
-    """Rates from a (n_replicates, n_taus) table of per-path errors.
-
-    The headline biased slope comes from the regression on the mean
-    curve; per-replicate slopes are also fitted (replicates that cannot
-    be fitted, e.g. all-zero errors, are skipped with a warning) and
-    reported through their mean and spread.
-    """
-    taus = np.asarray(taus, dtype=float)
-    table = np.asarray(per_replicate_totals, dtype=float)
-    if table.ndim != 2 or table.shape[1] != taus.shape[0]:
-        raise ValueError("per-replicate table must be (n_replicates, n_taus)")
-    mean_fit = fit_rate(taus, table.mean(axis=0))
-    slopes = []
-    for r in range(table.shape[0]):
-        try:
-            slopes.append(fit_rate(taus, table[r]).a)
-        except ValueError:
-            log.warning("replicate %d skipped in slope aggregation", r)
-    a_corr, alpha = corrected_rate(mean_fit.a, taus, tau_tilde)
-    return RateEstimate(
-        a_biased=mean_fit.a,
-        stderr_biased=mean_fit.stderr,
-        log_c_biased=mean_fit.log_c,
-        a_corrected=a_corr,
-        alpha=alpha,
-        replicate_slopes=tuple(slopes),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo harness
 # ---------------------------------------------------------------------------

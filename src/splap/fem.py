@@ -31,11 +31,12 @@ basis_grad
     local nodal basis functions on each simplex, in the simplex's vertex
     order.  They are the nonzeros of the rows of D1 and D2.
 pattern
-    An InteriorPattern: the one n_interior x n_interior CSC sparsity
-    pattern that every interior Newton system shares, the scatter of
-    per-simplex 3 x 3 blocks into its data, and R P R' and R A R' (A the
-    stiffness) as data vectors in that pattern.  A Newton matrix is then
-    a data vector, assembled without sparse products.
+    An InteriorPattern: the reverse Cuthill-McKee order of the interior
+    unknowns, fixed per mesh, in which every interior Newton system is a
+    LAPACK lower band of half-width kd; the scatter of per-simplex 3 x 3
+    blocks into that band; and R P R' and R A R' (A the stiffness) as
+    band data vectors.  A Newton matrix is then a band data vector,
+    assembled without sparse products.
 
 The assembled stiffness sum_i Di' diag(areas) Di is exposed for use as
 an independent reference in the linear (p = 2) regime.
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .constitutive import GrowthParams, tensor_f_rows
 from .mesh import Mesh, MeshError, _signed_areas
@@ -56,31 +58,38 @@ _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 
 @dataclass(frozen=True)
 class InteriorPattern:
-    """Fixed CSC pattern of the interior n_i x n_i systems of one mesh.
+    """Lower band storage of the interior n_i x n_i systems of one mesh.
+
+    The interior unknowns are renumbered by reverse Cuthill-McKee:
+    position k of the band holds interior unknown ``perm[k]``, and every
+    coupling lies within ``kd`` positions of the diagonal.  A band data
+    vector has n_i * (kd + 1) entries; entry (row, col) of the lower
+    triangle in RCM numbering sits at ``col * (kd + 1) + (row - col)``,
+    so ``band`` reshapes it to the Fortran-ordered (kd + 1, n_i) array
+    of LAPACK's lower band storage without a copy.
 
     Entry k of the flattened (ns, 3, 3) element blocks couples local
     nodes a, b of simplex j (k = 9j + 3a + b).  ``keep`` lists the
-    entries whose row and column vertices are both interior, ``slot``
-    the CSC data index each of them adds into; entries touching the
-    boundary are dropped.  ``indices`` are sorted within each column.
-    ``mass`` and ``stiffness`` are R P R' and R A R' in this pattern.
+    entries whose vertices are both interior and whose row is not above
+    their column in RCM numbering, so each stored entry is kept once;
+    ``slot`` is the band data index each of them adds into.  ``mass``
+    and ``stiffness`` are R P R' and R A R' as band data vectors.
     """
 
-    indices: np.ndarray
-    indptr: np.ndarray
+    perm: np.ndarray
+    kd: int
     keep: np.ndarray
     slot: np.ndarray
     mass: np.ndarray
     stiffness: np.ndarray
 
     def scatter(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum (ns, 3, 3) element blocks into a data vector of the pattern."""
-        return np.bincount(self.slot, weights=blocks.ravel()[self.keep], minlength=self.indices.shape[0])
+        """Sum (ns, 3, 3) element blocks into a band data vector."""
+        return np.bincount(self.slot, weights=blocks.ravel()[self.keep], minlength=self.mass.shape[0])
 
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The n_i x n_i CSC matrix holding ``data`` in this pattern."""
-        n = self.indptr.shape[0] - 1
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+    def band(self, data: np.ndarray) -> np.ndarray:
+        """The (kd + 1, n_i) F-contiguous lower band holding ``data``."""
+        return data.reshape(self.perm.shape[0], self.kd + 1).T
 
 
 def _interior_pattern(
@@ -92,20 +101,27 @@ def _interior_pattern(
     lt = local[t]
     rows = np.broadcast_to(lt[:, :, None], lt.shape + (3,)).ravel()
     cols = np.broadcast_to(lt[:, None, :], lt.shape + (3,)).ravel()
-    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-    # Sorting the keys c*ni + r orders the entries as CSC with sorted
-    # row indices; the inverse map is each entry's data slot.
-    keys, slot = np.unique(cols[keep] * ni + rows[keep], return_inverse=True)
-    indptr = np.zeros(ni + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // ni, minlength=ni), out=indptr[1:])
-    nnz = keys.shape[0]
+    inner = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols = rows[inner], cols[inner]
+    graph = sp.csr_matrix((np.ones(inner.shape[0]), (rows, cols)), shape=(ni, ni))
+    # csgraph's RCM rejects an empty graph; a mesh may have no interior vertex.
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True) if ni else np.arange(0)
+    rank = np.empty(ni, dtype=np.int64)
+    rank[perm] = np.arange(ni)
+    rows, cols = rank[rows], rank[cols]
+    lower = rows >= cols
+    offset = rows[lower] - cols[lower]
+    kd = int(offset.max(initial=0))
+    slot = cols[lower] * (kd + 1) + offset
+    keep = inner[lower]
+    size = ni * (kd + 1)
     return InteriorPattern(
-        indices=(keys % ni).astype(np.int32),
-        indptr=indptr,
+        perm=perm,
+        kd=kd,
         keep=keep,
         slot=slot,
-        mass=np.bincount(slot, weights=local_mass.ravel()[keep], minlength=nnz),
-        stiffness=np.bincount(slot, weights=local_stiffness.ravel()[keep], minlength=nnz),
+        mass=np.bincount(slot, weights=local_mass.ravel()[keep], minlength=size),
+        stiffness=np.bincount(slot, weights=local_stiffness.ravel()[keep], minlength=size),
     )
 
 

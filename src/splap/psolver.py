@@ -20,11 +20,14 @@ comparison purposes and is not the default.
 Solver: boundary unknowns are eliminated through the restriction
 matrix and the reduced problem is solved by damped Newton with Armijo
 backtracking.  Every Newton matrix, the p = 2 presolve system and the
-mass-shifted retry are assembled into the one fixed interior CSC
-pattern of ``FemOperators.pattern``: each is a data vector, the
-interior mass plus tau times per-simplex 3 x 3 blocks of the basis
-gradients summed into precomputed slots, so no sparse product, format
-conversion or slice runs per iteration.
+mass-shifted retry are band data vectors in the lower band of
+``FemOperators.pattern``, whose reverse Cuthill-McKee order is fixed
+per mesh: the interior mass plus tau times per-simplex 3 x 3 blocks of
+the basis gradients summed into precomputed slots, so no sparse
+product, format conversion or slice runs per iteration.  Each matrix
+is symmetric positive definite (mass plus tau times a convex Hessian)
+and is factored and solved by one banded Cholesky call (LAPACK dpbsv);
+no ordering or symbolic analysis runs per iteration.
 
 For p < 2 the energy is not twice differentiable where a gradient
 vanishes, so the solve passes through a decreasing sequence of
@@ -40,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbsv
 
 from .constitutive import GrowthParams, tensor_s_rows
 from .fem import FemOperators, InteriorPattern
@@ -189,8 +191,8 @@ def gradient(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> np.
     return r[prob.ops.interior]
 
 
-def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> sp.csc_matrix:
-    """Interior Hessian of objective(., eps) as a sparse CSC matrix."""
+def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarray:
+    """Interior Hessian of objective(., eps) as a band data vector of ``ops.pattern``."""
     u = prob.ops.prolong(_check_interior(prob, u_interior))
     p, kappa = prob.params.p, prob.params.kappa
     g1, g2, norms = _smoothed_norms(prob, u, eps)
@@ -211,13 +213,13 @@ def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> sp.csc_ma
         w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
         w12 = np.zeros_like(w11)
     # Per simplex, the 3 x 3 block gx (x) (w11 gx + w12 gy) + gy (x) (w12 gx + w22 gy)
-    # of the local basis gradients, summed into the fixed interior pattern.
+    # of the local basis gradients, summed into the fixed interior band.
     gx, gy = prob.ops.basis_grad
     hx = w11[:, None] * gx + w12[:, None] * gy
     hy = w12[:, None] * gx + w22[:, None] * gy
     blocks = gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :]
     pattern = prob.ops.pattern
-    return pattern.matrix(pattern.mass + prob.tau_m * pattern.scatter(blocks))
+    return pattern.mass + prob.tau_m * pattern.scatter(blocks)
 
 
 def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
@@ -245,22 +247,34 @@ def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) ->
     return float(np.linalg.norm(r[prob.ops.interior]))
 
 
-def _newton_direction(h: sp.csc_matrix, g: np.ndarray, pattern: InteriorPattern) -> np.ndarray:
+def splu(pattern: InteriorPattern, data: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve the band system ``data`` x = rhs by banded Cholesky.
+
+    Factors and solves in one LAPACK dpbsv call in the RCM order of
+    ``pattern`` and returns x in interior order, or None when the matrix
+    is not numerically positive definite.  The name is kept from the
+    SuperLU factorization this replaced, because it is the one place
+    every factorization passes through: tracers and tests wrap
+    ``splap.psolver.splu`` to time and count them.
+    """
+    _, x, info = dpbsv(pattern.band(data), rhs[pattern.perm], lower=1)
+    if info != 0:
+        return None
+    out = np.empty_like(x)
+    out[pattern.perm] = x
+    return out
+
+
+def _newton_direction(h: np.ndarray, g: np.ndarray, pattern: InteriorPattern) -> np.ndarray:
     """Solve h d = -g; on factorization trouble retry with a mass shift.
 
-    h must hold its data in ``pattern``, as the matrices of _hessian do.
+    h must be a band data vector of ``pattern``, as _hessian returns.
     """
-    d = None
-    try:
-        d = splu(h).solve(-g)
-    except RuntimeError:
-        d = None
+    d = splu(pattern, h, -g)
     if d is None or not np.all(np.isfinite(d)) or float(g @ d) >= 0.0:
-        shifted = pattern.matrix(h.data + HESSIAN_SHIFT * pattern.mass)
-        try:
-            d = splu(shifted).solve(-g)
-        except RuntimeError as exc:
-            raise ConvergenceError("Hessian factorization failed") from exc
+        d = splu(pattern, h + HESSIAN_SHIFT * pattern.mass, -g)
+        if d is None:
+            raise ConvergenceError("Hessian factorization failed")
         if not np.all(np.isfinite(d)) or float(g @ d) >= 0.0:
             raise ConvergenceError("no descent direction")
     return d
@@ -318,8 +332,10 @@ def _schedule(params: GrowthParams) -> list[float]:
 def _presolve(prob: StepProblem) -> np.ndarray:
     """Minimizer of the p=2 surrogate step (P + tau A) u = load."""
     pattern = prob.ops.pattern
-    system = pattern.matrix(pattern.mass + prob.tau_m * pattern.stiffness)
-    return splu(system).solve(prob.load[prob.ops.interior])
+    u = splu(pattern, pattern.mass + prob.tau_m * pattern.stiffness, prob.load[prob.ops.interior])
+    if u is None:
+        raise ConvergenceError("presolve factorization failed")
+    return u
 
 
 def solve_step(

@@ -9,10 +9,8 @@ import pytest
 from splap.analysis import (
     CorrectionError,
     MonteCarloTable,
-    RateEstimate,
     bias,
     corrected_rate,
-    estimate_rates,
     fit_rate,
     monte_carlo_estimate,
     path_error,
@@ -269,22 +267,6 @@ def test_corrected_rate_no_root_error():
         corrected_rate(0.5, (0.5, 0.25, 0.125, 0.0625), 1.0 / 32.0)
     with pytest.raises(ValueError):
         corrected_rate(1.0, (0.25,), 0.5)
-
-
-def test_estimate_rates_aggregation():
-    taus = np.array([0.5, 0.25, 0.125, 0.0625])
-    rng = np.random.default_rng(1)
-    per_rep = np.array([2.0 * taus**1.1 for _ in range(12)]) * np.exp(
-        0.05 * rng.standard_normal((12, 1))
-    )
-    est = estimate_rates(taus, per_rep, 1.0 / 32.0)
-    assert isinstance(est, RateEstimate)
-    assert abs(est.a_biased - 1.1) <= 0.05
-    assert est.alpha == est.a_corrected / 2.0
-    assert est.a_corrected < est.a_biased
-    assert len(est.replicate_slopes) == 12
-    assert abs(est.replicate_slope_mean - 1.1) <= 1e-6
-    assert est.replicate_slope_std < 1e-6
 
 
 def test_monte_carlo_smoke_and_zero_noise_std():

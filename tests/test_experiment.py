@@ -35,6 +35,21 @@ def smoke_run(tmp_path_factory):
     return cfg, out, status
 
 
+def test_summarize_table_rate_aggregation():
+    taus = np.array([0.5, 0.25, 0.125, 0.0625])
+    rng = np.random.default_rng(1)
+    per_rep = np.array([2.0 * taus**1.1 for _ in range(12)]) * np.exp(
+        0.05 * rng.standard_normal((12, 1))
+    )
+    out = summarize_table(taus, per_rep, per_rep, per_rep, taus, 1.0 / 32.0)
+    assert abs(out["a_tilde"] - 1.1) <= 0.05
+    assert out["alpha"] == out["a_corrected"] / 2.0
+    assert out["a_corrected"] < out["a_tilde"]
+    assert out["n_replicates_ok"] == 12
+    assert abs(out["replicate_slope_mean"] - 1.1) <= 1e-6
+    assert out["replicate_slope_std"] < 1e-6
+
+
 def test_smoke_run_emits_all_artifacts(smoke_run):
     # pipeline liveness: the run completes and writes every artifact;
     # at this tiny scale the biased slope can sit below the invertible

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import band_to_dense, jittered_mesh
 
 from splap.constitutive import GrowthParams
 from splap.fem import (
@@ -176,20 +177,35 @@ def test_single_triangle_quadrature_oracle():
 
 
 def test_interior_pattern_holds_restricted_operators():
-    # the pattern's mass and stiffness data are R P R' and R A R' exactly
-    # in canonical CSC form; the kept blocks are the interior-interior ones
-    for m in (generate_unit_square(1), generate_unit_square(2), generate_unit_square(5)):
-        ops = assemble(m)
+    # the band's mass and stiffness data are R P R' and R A R'; each
+    # interior pair of a simplex is kept once, in the lower triangle
+    for mesh in (generate_unit_square(1), generate_unit_square(2), generate_unit_square(5), jittered_mesh(8, seed=3)):
+        ops = assemble(mesh)
         pattern = ops.pattern
         r = ops.restriction
-        mass = pattern.matrix(pattern.mass)
-        assert mass.shape == (ops.n_interior, ops.n_interior)
-        assert mass.has_canonical_format
-        assert np.allclose(mass.toarray(), (r @ ops.mass @ r.T).toarray(), rtol=1e-14, atol=0.0)
-        stiffness = pattern.matrix(pattern.stiffness).toarray()
-        assert np.allclose(stiffness, (r @ ops.stiffness() @ r.T).toarray(), rtol=1e-13, atol=1e-13)
-        inner = ~m.boundary_vertex_flags[m.simplices]
-        assert pattern.keep.shape[0] == int(np.sum(inner[:, :, None] & inner[:, None, :]))
+        ni = ops.n_interior
+        assert sorted(pattern.perm) == list(range(ni))
+        assert pattern.mass.shape == (ni * (pattern.kd + 1),)
+        mass = band_to_dense(pattern, pattern.mass)
+        np.testing.assert_allclose(mass, (r @ ops.mass @ r.T).toarray(), rtol=1e-14, atol=0.0)
+        stiffness = (r @ ops.stiffness() @ r.T).toarray()
+        np.testing.assert_allclose(band_to_dense(pattern, pattern.stiffness), stiffness, rtol=1e-13, atol=1e-13)
+        k = np.sum(~mesh.boundary_vertex_flags[mesh.simplices], axis=1)
+        assert pattern.keep.shape[0] == int(np.sum(k * (k + 1) // 2))
+
+
+@pytest.mark.parametrize("m", [4, 16, 32])
+def test_band_width_structured(m):
+    # reverse Cuthill-McKee numbers the (m-1) x (m-1) interior grid by
+    # diagonals of the triangulation
+    assert assemble(generate_unit_square(m)).pattern.kd == m - 1
+
+
+@pytest.mark.parametrize("m, seed", [(16, 0), (16, 1), (32, 2), (32, 3)])
+def test_band_width_survives_random_numbering(m, seed):
+    # jittered_mesh numbers its vertices at random; only the reordering
+    # keeps the band narrow
+    assert assemble(jittered_mesh(m, seed)).pattern.kd <= 2 * m
 
 
 def test_basis_gradients_are_the_derivative_rows():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay
+from oracles import band_to_dense, jittered_mesh
 
 import splap.psolver
 from splap.constitutive import GrowthParams, tensor_s_rows
 from splap.fem import assemble, gradient_per_simplex
-from splap.mesh import _signed_areas, generate_unit_square, make_mesh
+from splap.mesh import generate_unit_square
 from splap.psolver import (
     ConvergenceError,
     EPS_SCHEDULE,
@@ -44,23 +44,6 @@ def linear_oracle(prob):
     r = ops.restriction
     system = r @ (ops.mass + prob.tau_m * ops.stiffness()) @ r.T
     return spla.spsolve(sp.csc_matrix(system), r @ prob.load)
-
-
-def jittered_mesh(n, seed):
-    """Delaunay mesh of a unit-square grid with jittered interior vertices.
-
-    The vertices are renumbered at random, so neither the connectivity
-    nor the numbering follows the structured grid.
-    """
-    rng = np.random.default_rng(seed)
-    verts = generate_unit_square(n).vertices.copy()
-    inner = np.all((verts > 0.0) & (verts < 1.0), axis=1)
-    verts[inner] += rng.uniform(-0.3 / n, 0.3 / n, size=(int(inner.sum()), 2))
-    verts = verts[rng.permutation(verts.shape[0])]
-    tris = Delaunay(verts).simplices.astype(np.int64)
-    flip = _signed_areas(verts, tris) < 0.0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-    return make_mesh(verts, tris)
 
 
 def sparse_product_hessian(prob, u_interior, eps):
@@ -212,6 +195,32 @@ def test_solve_step_linear_oracle_p2():
         rel = np.linalg.norm(u - expected) / np.linalg.norm(expected)
         assert rel <= 1e-8
         assert report.continuation_levels == [0.0]
+
+
+def test_solve_step_without_interior_vertex():
+    # generate_unit_square(1) has no interior vertex: an empty system
+    ops = assemble(generate_unit_square(1))
+    assert ops.n_interior == 0
+    prob = StepProblem(
+        ops=ops, params=GrowthParams(1.5), tau_m=0.1, forcing=np.ones(3 * ops.n_simplices)
+    )
+    u, report = solve_step(prob, np.zeros(0))
+    assert u.shape == (0,)
+    assert report.iterations == 0
+
+
+def test_solve_step_single_unknown_matches_dense_solve():
+    ops = assemble(generate_unit_square(2))
+    assert ops.n_interior == 1
+    rng = np.random.default_rng(14)
+    prob = StepProblem(
+        ops=ops, params=GrowthParams(2.0), tau_m=0.3, forcing=rng.standard_normal(3 * ops.n_simplices)
+    )
+    r = ops.restriction.toarray()
+    dense = r @ (ops.mass.toarray() + prob.tau_m * ops.stiffness().toarray()) @ r.T
+    expected = np.linalg.solve(dense, r @ prob.load)
+    u, _ = solve_step(prob, np.zeros(1), tol=1e-12)
+    np.testing.assert_allclose(u, expected, rtol=1e-12)
 
 
 def test_solve_step_small_tau_is_l2_projection():
@@ -407,10 +416,17 @@ def test_hessian_matches_sparse_product_oracle(mesh_name, p, formulation, eps):
     for _ in range(3):
         u = rng.standard_normal(ops.n_interior)
         fast = _hessian(prob, u, eps)
+        assert fast.shape == ops.pattern.mass.shape
         oracle = sparse_product_hessian(prob, u, eps)
-        assert isinstance(fast, sp.csc_matrix) and fast.shape == oracle.shape
         dense = oracle.toarray()
-        np.testing.assert_allclose(fast.toarray(), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+        np.testing.assert_allclose(
+            band_to_dense(ops.pattern, fast), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max()
+        )
+        # the banded Cholesky direction against SuperLU on the oracle matrix
+        g = gradient(prob, u, eps)
+        expected = spla.splu(oracle).solve(-g)
+        d = _newton_direction(fast, g, ops.pattern)
+        np.testing.assert_allclose(d, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
@@ -421,17 +437,20 @@ def test_presolve_system_matches_restricted_operators(mesh_name, monkeypatch):
         ops=ops, params=GrowthParams(1.5), tau_m=0.07, forcing=rng.standard_normal(3 * ops.n_simplices)
     )
     factored = []
+    band_solve = splap.psolver.splu
 
-    def recording_splu(matrix):
-        factored.append(matrix)
-        return spla.splu(matrix)
+    def recording_splu(pattern, data, rhs):
+        factored.append(data)
+        return band_solve(pattern, data, rhs)
 
     monkeypatch.setattr(splap.psolver, "splu", recording_splu)
     u = _presolve(prob)
     r = ops.restriction
     oracle = (r @ (ops.mass + prob.tau_m * ops.stiffness()) @ r.T).toarray()
     assert len(factored) == 1
-    np.testing.assert_allclose(factored[0].toarray(), oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+    np.testing.assert_allclose(
+        band_to_dense(ops.pattern, factored[0]), oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()
+    )
     np.testing.assert_allclose(u, linear_oracle(prob), rtol=1e-10, atol=1e-12)
 
 
@@ -449,7 +468,7 @@ def test_hessian_columns_match_finite_differences(p, formulation):
     )
     eps = 1e-2
     u = rng.standard_normal(ops.n_interior)
-    h = _hessian(prob, u, eps).toarray()
+    h = band_to_dense(ops.pattern, _hessian(prob, u, eps))
     step = 1e-6
     for k in rng.choice(ops.n_interior, size=5, replace=False):
         e = np.zeros(ops.n_interior)
@@ -459,12 +478,23 @@ def test_hessian_columns_match_finite_differences(p, formulation):
 
 
 def test_newton_direction_falls_back_to_mass_shift():
-    # an all-zero Hessian is exactly singular: the retry factorizes the
-    # shifted matrix HESSIAN_SHIFT * R P R' on the same pattern
+    # an all-zero band is not positive definite: the retry factors the
+    # shifted matrix HESSIAN_SHIFT * R P R' in the same band
     ops = assemble(jittered_mesh(4, seed=5))
     pattern = ops.pattern
     g = np.random.default_rng(13).standard_normal(ops.n_interior)
-    d = _newton_direction(pattern.matrix(np.zeros_like(pattern.mass)), g, pattern)
+    d = _newton_direction(np.zeros_like(pattern.mass), g, pattern)
     mass_ii = ops.restriction @ ops.mass @ ops.restriction.T
-    expected = spla.spsolve(sp.csc_matrix(HESSIAN_SHIFT * mass_ii), -g)
+    expected = spla.splu(sp.csc_matrix(HESSIAN_SHIFT * mass_ii)).solve(-g)
     np.testing.assert_allclose(d, expected, rtol=1e-10)
+    # a band that stays indefinite after the shift fails the step as data
+    with pytest.raises(ConvergenceError, match="factorization failed"):
+        _newton_direction(-pattern.mass, g, pattern)
+
+
+def test_presolve_factorization_failure_is_convergence_error(monkeypatch):
+    rng = np.random.default_rng(15)
+    prob = random_problem(rng, n=4, p=1.5)
+    monkeypatch.setattr(splap.psolver, "splu", lambda pattern, data, rhs: None)
+    with pytest.raises(ConvergenceError, match="presolve"):
+        solve_step(prob, np.zeros(prob.ops.n_interior))
