@@ -33,10 +33,11 @@ basis_grad
 pattern
     An InteriorPattern: the reverse Cuthill-McKee order of the interior
     unknowns, fixed per mesh, in which every interior Newton system is a
-    LAPACK lower band of half-width kd; the scatter of per-simplex 3 x 3
-    blocks into that band; and R P R' and R A R' (A the stiffness) as
-    band data vectors.  A Newton matrix is then a band data vector,
-    assembled without sparse products.
+    LAPACK lower band of half-width kd; for each stored band entry its
+    simplex and the products of the two local basis gradients it
+    couples; and R P R' and R A R' (A the stiffness) as band data
+    vectors.  A Newton matrix is then a band data vector, assembled from
+    per-simplex weights by one bincount, without sparse products.
 
 The assembled stiffness sum_i Di' diag(areas) Di is exposed for use as
 an independent reference in the linear (p = 2) regime.
@@ -72,20 +73,29 @@ class InteriorPattern:
     nodes a, b of simplex j (k = 9j + 3a + b).  ``keep`` lists the
     entries whose vertices are both interior and whose row is not above
     their column in RCM numbering, so each stored entry is kept once;
-    ``slot`` is the band data index each of them adds into.  ``mass``
-    and ``stiffness`` are R P R' and R A R' as band data vectors.
+    ``slot`` is the band data index each of them adds into and
+    ``simplex`` its simplex j.  With (gx, gy) the local basis gradients,
+    ``c11``, ``c12`` and ``c22`` hold gx_a gx_b, gx_a gy_b + gy_a gx_b and
+    gy_a gy_b of each kept entry.  ``mass`` and ``stiffness`` are R P R'
+    and R A R' as band data vectors.
     """
 
     perm: np.ndarray
     kd: int
     keep: np.ndarray
     slot: np.ndarray
+    simplex: np.ndarray
+    c11: np.ndarray
+    c12: np.ndarray
+    c22: np.ndarray
     mass: np.ndarray
     stiffness: np.ndarray
 
-    def scatter(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum (ns, 3, 3) element blocks into a band data vector."""
-        return np.bincount(self.slot, weights=blocks.ravel()[self.keep], minlength=self.mass.shape[0])
+    def weighted_stiffness(self, w11: np.ndarray, w12: np.ndarray, w22: np.ndarray) -> np.ndarray:
+        """Band data of sum_j w11_j gx gx' + w12_j (gx gy' + gy gx') + w22_j gy gy', w per simplex."""
+        j = self.simplex
+        data = w11[j] * self.c11 + w12[j] * self.c12 + w22[j] * self.c22
+        return np.bincount(self.slot, weights=data, minlength=self.mass.shape[0])
 
     def band(self, data: np.ndarray) -> np.ndarray:
         """The (kd + 1, n_i) F-contiguous lower band holding ``data``."""
@@ -93,7 +103,7 @@ class InteriorPattern:
 
 
 def _interior_pattern(
-    t: np.ndarray, interior: np.ndarray, nv: int, local_mass: np.ndarray, local_stiffness: np.ndarray
+    t: np.ndarray, interior: np.ndarray, nv: int, local_mass: np.ndarray, areas: np.ndarray, gx: np.ndarray, gy: np.ndarray
 ) -> InteriorPattern:
     ni = interior.shape[0]
     local = np.full(nv, -1, dtype=np.int64)
@@ -114,14 +124,21 @@ def _interior_pattern(
     kd = int(offset.max(initial=0))
     slot = cols[lower] * (kd + 1) + offset
     keep = inner[lower]
+    j, a, b = keep // 9, keep // 3 % 3, keep % 3
+    c11 = gx[j, a] * gx[j, b]
+    c22 = gy[j, a] * gy[j, b]
     size = ni * (kd + 1)
     return InteriorPattern(
         perm=perm,
         kd=kd,
         keep=keep,
         slot=slot,
-        mass=np.bincount(slot, weights=local_mass.ravel()[keep], minlength=size),
-        stiffness=np.bincount(slot, weights=local_stiffness.ravel()[keep], minlength=size),
+        simplex=j,
+        c11=c11,
+        c12=gx[j, a] * gy[j, b] + gy[j, a] * gx[j, b],
+        c22=c22,
+        mass=np.bincount(slot, weights=local_mass[keep], minlength=size),
+        stiffness=np.bincount(slot, weights=areas[j] * (c11 + c22), minlength=size),
     )
 
 
@@ -207,7 +224,6 @@ def assemble(mesh: Mesh) -> FemOperators:
     broken_cols = np.broadcast_to(t[:, None, :], (ns, 3, 3)).ravel()
     broken_data = (areas[:, None, None] * _LOCAL_MASS[None, :, :]).ravel()
     broken_mass = sp.coo_matrix((broken_data, (broken_rows, broken_cols)), shape=(3 * ns, nv)).tocsr()
-    local_stiffness = areas[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
 
     interior = np.where(~mesh.boundary_vertex_flags)[0]
     ni = interior.shape[0]
@@ -224,7 +240,7 @@ def assemble(mesh: Mesh) -> FemOperators:
         restriction=restriction,
         interior=interior,
         basis_grad=(gx, gy),
-        pattern=_interior_pattern(t, interior, nv, broken_data, local_stiffness),
+        pattern=_interior_pattern(t, interior, nv, broken_data, areas, gx, gy),
     )
 
 

@@ -17,17 +17,21 @@ sums phi(|D1 u|) + phi(|D2 u|) per simplex instead of using the
 Euclidean norm of the full gradient; it is kept behind a switch for
 comparison purposes and is not the default.
 
-Solver: boundary unknowns are eliminated through the restriction
-matrix and the reduced problem is solved by damped Newton with Armijo
-backtracking.  Every Newton matrix, the p = 2 presolve system and the
-mass-shifted retry are band data vectors in the lower band of
-``FemOperators.pattern``, whose reverse Cuthill-McKee order is fixed
-per mesh: the interior mass plus tau times per-simplex 3 x 3 blocks of
-the basis gradients summed into precomputed slots, so no sparse
-product, format conversion or slice runs per iteration.  Each matrix
-is symmetric positive definite (mass plus tau times a convex Hessian)
-and is factored and solved by one banded Cholesky call (LAPACK dpbsv);
-no ordering or symbolic analysis runs per iteration.
+Solver: boundary unknowns are eliminated by zero extension and the
+reduced problem is solved by damped Newton with Armijo backtracking.
+The per-simplex state at a point (nodal values, gradient components,
+smoothed norms) is gathered once per (u, eps) and kept in a one-slot
+memo on the StepProblem, keyed on the value of u and on eps, so the
+accepted line-search trial's state serves the gradient and Hessian.
+Transposed products are one bincount over the simplex vertices; no
+sparse product runs per evaluation.  Every Newton matrix, the p = 2
+presolve system and the mass-shifted retry are band data vectors of
+``FemOperators.pattern`` (a reverse Cuthill-McKee order fixed per
+mesh): the interior mass plus tau times per-simplex weights summed into
+fixed slots.  Each is symmetric positive definite (mass plus tau times
+a convex Hessian) and is factored and solved by one banded Cholesky
+call (LAPACK dpbsv); no ordering or symbolic analysis runs per
+iteration.
 
 For p < 2 the energy is not twice differentiable where a gradient
 vanishes, so the solve passes through a decreasing sequence of
@@ -46,7 +50,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from .constitutive import GrowthParams, tensor_s_rows
-from .fem import FemOperators, InteriorPattern
+from .fem import _LOCAL_MASS, FemOperators, InteriorPattern
 
 EPS_SCHEDULE = (1e-2, 1e-4, 1e-6)
 ARMIJO_C1 = 1e-4
@@ -55,6 +59,9 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 
 _FORMULATIONS = ("euclidean", "componentwise")
+# x @ _ROW_SUM sums the rows of an (ns, 3) array, several times faster
+# than x.sum(axis=1) on so short an axis
+_ROW_SUM = np.ones(3)
 
 
 class SingularityError(ArithmeticError):
@@ -112,6 +119,8 @@ class StepProblem:
         object.__setattr__(self, "forcing", forcing)
         # f enters the objective only through Pt' f.
         object.__setattr__(self, "_load", self.ops.broken_mass.T @ forcing)
+        # the last _Point built, reused while (u, eps) stays the same
+        object.__setattr__(self, "_last", None)
 
     @property
     def load(self) -> np.ndarray:
@@ -126,23 +135,58 @@ def _energy_density(t: np.ndarray, p: float, kappa: float) -> np.ndarray:
     return (kt**p - kappa**p) / p - kappa * (kt ** (p - 1.0) - kappa ** (p - 1.0)) / (p - 1.0)
 
 
-def _smoothed_norms(prob: StepProblem, u_full: np.ndarray, eps: float):
-    """Per-simplex gradient components and smoothed norms.
+@dataclass(frozen=True)
+class _Point:
+    """State of the step objective at one (u, eps), shared by its evaluations.
 
-    Returns (g1, g2, norms) where norms has one column per energy term:
-    a single column holding sqrt(eps^2 + g1^2 + g2^2) for the euclidean
-    formulation, two columns sqrt(eps^2 + gi^2) componentwise.
+    ``u`` is a private copy of the interior coefficients, ``local`` the
+    values of u on the three nodes of each simplex, ``mass_local`` the
+    per-simplex parts of P u, (g1, g2) the gradient components and
+    ``norms`` the smoothed norms (one column euclidean, two
+    componentwise).
     """
+
+    u: np.ndarray
+    eps: float
+    u_full: np.ndarray
+    local: np.ndarray
+    mass_local: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    norms: np.ndarray
+
+
+def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
+    """The state at (u, eps): the memo's when u and eps match it by value, else built."""
+    u_interior = _check_interior(prob, u_interior)
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    d1, d2 = prob.ops.dgrad
-    g1 = d1 @ u_full
-    g2 = d2 @ u_full
+    last = prob._last
+    if last is not None and last.eps == eps and np.array_equal(last.u, u_interior):
+        return last
+    ops = prob.ops
+    u_full = np.zeros(ops.n_vertices)
+    u_full[ops.interior] = u_interior
+    local = u_full[ops.mesh.simplices]
+    gx, gy = ops.basis_grad
+    g1 = (gx * local) @ _ROW_SUM
+    g2 = (gy * local) @ _ROW_SUM
     if prob.formulation == "euclidean":
         norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)[:, None]
     else:
         norms = np.column_stack([np.sqrt(eps * eps + g1 * g1), np.sqrt(eps * eps + g2 * g2)])
-    return g1, g2, norms
+    point = _Point(
+        u=u_interior.copy(),
+        eps=eps,
+        u_full=u_full,
+        local=local,
+        mass_local=ops.areas[:, None] * (local @ _LOCAL_MASS),
+        g1=g1,
+        g2=g2,
+        norms=norms,
+    )
+    object.__setattr__(prob, "_last", point)
+    return point
 
 
 def _check_interior(prob: StepProblem, u_interior: np.ndarray) -> np.ndarray:
@@ -152,16 +196,25 @@ def _check_interior(prob: StepProblem, u_interior: np.ndarray) -> np.ndarray:
     return u_interior
 
 
+def _residual(prob: StepProblem, point: _Point, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Interior part of P u + tau sum_i Di' diag(areas) s_i - Pt' f, by one bincount."""
+    ops = prob.ops
+    gx, gy = ops.basis_grad
+    ts1 = prob.tau_m * ops.areas * s1
+    ts2 = prob.tau_m * ops.areas * s2
+    local = point.mass_local + ts1[:, None] * gx + ts2[:, None] * gy
+    r = np.bincount(ops.mesh.simplices.ravel(), weights=local.ravel(), minlength=ops.n_vertices)
+    return r[ops.interior] - prob.load[ops.interior]
+
+
 def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
     """J(u) at u = R' u_interior, optionally with eps-smoothed density."""
-    u_interior = _check_interior(prob, u_interior)
-    u = prob.ops.prolong(u_interior)
+    point = _point(prob, u_interior, eps)
     p, kappa = prob.params.p, prob.params.kappa
-    _, _, norms = _smoothed_norms(prob, u, eps)
     with np.errstate(over="ignore"):
-        density = _energy_density(norms, p, kappa).sum(axis=1)
-        quad = 0.5 * float(u @ (prob.ops.mass @ u))
-        return quad + prob.tau_m * float(prob.ops.areas @ density) - float(prob.load @ u)
+        energy = float((prob.ops.areas @ _energy_density(point.norms, p, kappa)).sum())
+        quad = 0.5 * float(np.vdot(point.mass_local, point.local))
+        return quad + prob.tau_m * energy - float(prob.load @ point.u_full)
 
 
 def _raise_if_singular(norms: np.ndarray, p: float, eps: float) -> None:
@@ -173,29 +226,19 @@ def _raise_if_singular(norms: np.ndarray, p: float, eps: float) -> None:
 
 def gradient(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> np.ndarray:
     """Gradient of objective(., eps) with respect to the interior unknowns."""
-    u_interior = _check_interior(prob, u_interior)
-    u = prob.ops.prolong(u_interior)
+    point = _point(prob, u_interior, eps)
     p, kappa = prob.params.p, prob.params.kappa
-    d1, d2 = prob.ops.dgrad
-    g1, g2, norms = _smoothed_norms(prob, u, eps)
-    _raise_if_singular(norms, p, eps)
-    scale = (kappa + norms) ** (p - 2.0)
-    if prob.formulation == "euclidean":
-        w1 = scale[:, 0] * g1
-        w2 = scale[:, 0] * g2
-    else:
-        w1 = scale[:, 0] * g1
-        w2 = scale[:, 1] * g2
-    areas = prob.ops.areas
-    r = prob.ops.mass @ u + prob.tau_m * (d1.T @ (areas * w1) + d2.T @ (areas * w2)) - prob.load
-    return r[prob.ops.interior]
+    _raise_if_singular(point.norms, p, eps)
+    scale = (kappa + point.norms) ** (p - 2.0)
+    # the last column is the one euclidean norm, or the second component's
+    return _residual(prob, point, scale[:, 0] * point.g1, scale[:, -1] * point.g2)
 
 
 def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarray:
     """Interior Hessian of objective(., eps) as a band data vector of ``ops.pattern``."""
-    u = prob.ops.prolong(_check_interior(prob, u_interior))
+    point = _point(prob, u_interior, eps)
     p, kappa = prob.params.p, prob.params.kappa
-    g1, g2, norms = _smoothed_norms(prob, u, eps)
+    g1, g2, norms = point.g1, point.g2, point.norms
     _raise_if_singular(norms, p, eps)
     base = kappa + norms
     a = base ** (p - 2.0)
@@ -212,14 +255,8 @@ def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarra
         w11 = areas * (a[:, 0] + b[:, 0] * g1 * g1)
         w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
         w12 = np.zeros_like(w11)
-    # Per simplex, the 3 x 3 block gx (x) (w11 gx + w12 gy) + gy (x) (w12 gx + w22 gy)
-    # of the local basis gradients, summed into the fixed interior band.
-    gx, gy = prob.ops.basis_grad
-    hx = w11[:, None] * gx + w12[:, None] * gy
-    hy = w12[:, None] * gx + w22[:, None] * gy
-    blocks = gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :]
     pattern = prob.ops.pattern
-    return pattern.mass + prob.tau_m * pattern.scatter(blocks)
+    return pattern.mass + prob.tau_m * pattern.weighted_stiffness(w11, w12, w22)
 
 
 def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
@@ -228,23 +265,19 @@ def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) ->
     Measures || R (P u + tau sum_i Di' diag(areas) s_i - Pt' f) || with
     s_i the i-th component of S(grad u) per simplex.  With eps = 0 the
     unsmoothed tensor is used (continuous zero extension at vanishing
-    gradients); with eps > 0 the tensor of the eps-smoothed energy, the
-    form whose residual the solver drives below tolerance for p < 2.
+    gradients); with eps > 0 the tensor of the eps-smoothed euclidean
+    energy, the form whose residual the solver drives below tolerance
+    for p < 2.
     """
-    if not (np.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    u_interior = _check_interior(prob, u_interior)
-    u = prob.ops.prolong(u_interior)
-    d1, d2 = prob.ops.dgrad
-    g = np.column_stack([d1 @ u, d2 @ u])
+    point = _point(prob, u_interior, eps)
+    g1, g2 = point.g1, point.g2
     if eps == 0.0:
-        s = tensor_s_rows(g, prob.params)
+        s = tensor_s_rows(np.column_stack([g1, g2]), prob.params)
+        s1, s2 = s[:, 0], s[:, 1]
     else:
-        base = prob.params.kappa + np.sqrt(eps * eps + np.sum(g * g, axis=1))
-        s = base[:, None] ** (prob.params.p - 2.0) * g
-    areas = prob.ops.areas
-    r = prob.ops.mass @ u + prob.tau_m * (d1.T @ (areas * s[:, 0]) + d2.T @ (areas * s[:, 1])) - prob.load
-    return float(np.linalg.norm(r[prob.ops.interior]))
+        scale = (prob.params.kappa + np.sqrt(eps * eps + g1 * g1 + g2 * g2)) ** (prob.params.p - 2.0)
+        s1, s2 = scale * g1, scale * g2
+    return float(np.linalg.norm(_residual(prob, point, s1, s2)))
 
 
 def splu(pattern: InteriorPattern, data: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:

@@ -1,9 +1,18 @@
-"""Shared test oracles: a randomly renumbered mesh and a band densifier."""
+"""Shared test oracles.
+
+A randomly renumbered mesh, a band densifier, and the step objective,
+its gradient, Hessian and KKT residual as the solver computed them
+before the per-point state: each call prolongs u and runs the CSR
+derivative and mass products itself, and the Hessian sums dense
+per-simplex 3 x 3 blocks into the band.
+"""
 
 import numpy as np
 from scipy.spatial import Delaunay
 
+from splap.constitutive import tensor_s_rows
 from splap.mesh import _signed_areas, generate_unit_square, make_mesh
+from splap.psolver import SingularityError, _energy_density
 
 
 def jittered_mesh(n, seed):
@@ -42,3 +51,92 @@ def band_to_dense(pattern, data):
     dense = np.empty((n, n))
     dense[np.ix_(pattern.perm, pattern.perm)] = lower + np.tril(lower, -1).T
     return dense
+
+
+def smoothed_norms(prob, u_full, eps):
+    """(g1, g2, norms) by the CSR derivative products."""
+    d1, d2 = prob.ops.dgrad
+    g1 = d1 @ u_full
+    g2 = d2 @ u_full
+    if prob.formulation == "euclidean":
+        norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)[:, None]
+    else:
+        norms = np.column_stack([np.sqrt(eps * eps + g1 * g1), np.sqrt(eps * eps + g2 * g2)])
+    return g1, g2, norms
+
+
+def _raise_if_singular(norms, p, eps):
+    if eps == 0.0 and p < 2.0 and np.any(norms == 0.0):
+        raise SingularityError("p < 2, eps = 0, and a vanishing gradient norm")
+
+
+def objective(prob, u_interior, eps=0.0):
+    """J(u) with sparse products: 1/2 u' P u + tau sum |S_j| phi - load' u."""
+    u = prob.ops.prolong(u_interior)
+    p, kappa = prob.params.p, prob.params.kappa
+    _, _, norms = smoothed_norms(prob, u, eps)
+    with np.errstate(over="ignore"):
+        density = _energy_density(norms, p, kappa).sum(axis=1)
+        quad = 0.5 * float(u @ (prob.ops.mass @ u))
+        return quad + prob.tau_m * float(prob.ops.areas @ density) - float(prob.load @ u)
+
+
+def gradient(prob, u_interior, eps=0.0):
+    """Interior gradient of objective(., eps) by transposed CSR products."""
+    u = prob.ops.prolong(u_interior)
+    p, kappa = prob.params.p, prob.params.kappa
+    d1, d2 = prob.ops.dgrad
+    g1, g2, norms = smoothed_norms(prob, u, eps)
+    _raise_if_singular(norms, p, eps)
+    scale = (kappa + norms) ** (p - 2.0)
+    w1 = scale[:, 0] * g1
+    w2 = scale[:, 0 if prob.formulation == "euclidean" else 1] * g2
+    areas = prob.ops.areas
+    r = prob.ops.mass @ u + prob.tau_m * (d1.T @ (areas * w1) + d2.T @ (areas * w2)) - prob.load
+    return r[prob.ops.interior]
+
+
+def hessian(prob, u_interior, eps):
+    """Interior Hessian as a band data vector, from dense per-simplex 3 x 3 blocks."""
+    u = prob.ops.prolong(u_interior)
+    p, kappa = prob.params.p, prob.params.kappa
+    g1, g2, norms = smoothed_norms(prob, u, eps)
+    _raise_if_singular(norms, p, eps)
+    base = kappa + norms
+    a = base ** (p - 2.0)
+    b = np.zeros_like(norms)
+    pos = norms > 0.0
+    b[pos] = (p - 2.0) * base[pos] ** (p - 3.0) / norms[pos]
+    areas = prob.ops.areas
+    if prob.formulation == "euclidean":
+        a0, b0 = a[:, 0], b[:, 0]
+        w11 = areas * (a0 + b0 * g1 * g1)
+        w22 = areas * (a0 + b0 * g2 * g2)
+        w12 = areas * (b0 * g1 * g2)
+    else:
+        w11 = areas * (a[:, 0] + b[:, 0] * g1 * g1)
+        w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
+        w12 = np.zeros_like(w11)
+    # per simplex, gx (x) (w11 gx + w12 gy) + gy (x) (w12 gx + w22 gy)
+    gx, gy = prob.ops.basis_grad
+    hx = w11[:, None] * gx + w12[:, None] * gy
+    hy = w12[:, None] * gx + w22[:, None] * gy
+    blocks = gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :]
+    pattern = prob.ops.pattern
+    scattered = np.bincount(pattern.slot, weights=blocks.ravel()[pattern.keep], minlength=pattern.mass.shape[0])
+    return pattern.mass + prob.tau_m * scattered
+
+
+def kkt_residual(prob, u_interior, eps=0.0):
+    """Interior residual norm of the variational form, by CSR products."""
+    u = prob.ops.prolong(u_interior)
+    d1, d2 = prob.ops.dgrad
+    g = np.column_stack([d1 @ u, d2 @ u])
+    if eps == 0.0:
+        s = tensor_s_rows(g, prob.params)
+    else:
+        base = prob.params.kappa + np.sqrt(eps * eps + np.sum(g * g, axis=1))
+        s = base[:, None] ** (prob.params.p - 2.0) * g
+    areas = prob.ops.areas
+    r = prob.ops.mass @ u + prob.tau_m * (d1.T @ (areas * s[:, 0]) + d2.T @ (areas * s[:, 1])) - prob.load
+    return float(np.linalg.norm(r[prob.ops.interior]))

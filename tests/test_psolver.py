@@ -1,9 +1,12 @@
 """Tests for the per-step convex minimization solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import oracles
 from oracles import band_to_dense, jittered_mesh
 
 import splap.psolver
@@ -498,3 +501,100 @@ def test_presolve_factorization_failure_is_convergence_error(monkeypatch):
     monkeypatch.setattr(splap.psolver, "splu", lambda pattern, data, rhs: None)
     with pytest.raises(ConvergenceError, match="presolve"):
         solve_step(prob, np.zeros(prob.ops.n_interior))
+
+
+def assert_matches(fast, oracle):
+    oracle = np.asarray(oracle)
+    np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
+def test_point_evaluations_match_oracles(mesh_name, formulation, eps, p):
+    # the gathered per-point state against the parent's sparse-product
+    # evaluations; fresh and reused states alike
+    ops = assemble(oracle_meshes()[mesh_name])
+    rng = np.random.default_rng(int(100 * p) + int(1e6 * eps))
+    prob = StepProblem(
+        ops=ops,
+        params=GrowthParams(p, kappa=0.3 if p == 1.5 else 0.0),
+        tau_m=0.3,
+        forcing=rng.standard_normal(3 * ops.n_simplices),
+        formulation=formulation,
+    )
+    # both meshes have corner simplices with three boundary vertices,
+    # where the gradient vanishes: at eps = 0, p < 2 is singular there
+    singular = eps == 0.0 and p < 2.0
+    for _ in range(2):
+        u = rng.standard_normal(ops.n_interior)
+        assert np.isclose(objective(prob, u, eps), oracles.objective(prob, u, eps), rtol=1e-12, atol=0.0)
+        if singular:
+            for derivative in (gradient, _hessian, oracles.gradient, oracles.hessian):
+                with pytest.raises(SingularityError):
+                    derivative(prob, u, eps)
+        else:
+            assert_matches(gradient(prob, u, eps), oracles.gradient(prob, u, eps))
+            assert_matches(_hessian(prob, u, eps), oracles.hessian(prob, u, eps))
+        assert np.isclose(kkt_residual(prob, u, eps), oracles.kkt_residual(prob, u, eps), rtol=1e-12, atol=0.0)
+
+
+def test_kkt_residual_zero_extension_at_vanishing_gradients():
+    # at eps = 0 with p < 2 the residual takes S(0) = 0 where the
+    # gradient vanishes, where the gradient of the objective is singular
+    rng = np.random.default_rng(17)
+    prob = random_problem(rng, n=4, p=1.5, tau=0.2)
+    u = np.zeros(prob.ops.n_interior)
+    u[: u.shape[0] // 2] = 1.0
+    with pytest.raises(SingularityError):
+        gradient(prob, u)
+    assert np.isclose(kkt_residual(prob, u), oracles.kkt_residual(prob, u), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+def test_point_reuse_is_keyed_on_value_and_eps(formulation):
+    ops = assemble(jittered_mesh(6, seed=4))
+    rng = np.random.default_rng(18)
+    prob = StepProblem(
+        ops=ops,
+        params=GrowthParams(1.5),
+        tau_m=0.2,
+        forcing=rng.standard_normal(3 * ops.n_simplices),
+        formulation=formulation,
+    )
+    eps = 1e-2
+    u = rng.standard_normal(ops.n_interior)
+    # u mutated in place after objective: the same array, a new value
+    objective(prob, u, eps)
+    u[::3] += 0.5
+    assert_matches(gradient(prob, u, eps), oracles.gradient(prob, u, eps))
+    # the same value at a new eps
+    objective(prob, u, eps)
+    assert_matches(gradient(prob, u, 1e-6), oracles.gradient(prob, u, 1e-6))
+    # the Hessian at a point other than the last one evaluated
+    v = rng.standard_normal(ops.n_interior)
+    objective(prob, u, eps)
+    assert_matches(_hessian(prob, v, eps), oracles.hessian(prob, v, eps))
+    # an equal value in another array reuses the state
+    gradient(prob, v, eps)
+    last = prob._last
+    assert_matches(gradient(prob, v.copy(), eps), oracles.gradient(prob, v, eps))
+    assert prob._last is last
+
+
+def test_point_evaluations_use_no_sparse_operator():
+    # with the CSR operators of the mesh taken away, every evaluation at
+    # a point still runs and agrees with the oracles on the full problem
+    rng = np.random.default_rng(19)
+    prob = random_problem(rng, n=6, p=1.5, tau=0.2)
+    bare = StepProblem(ops=prob.ops, params=prob.params, tau_m=prob.tau_m, forcing=prob.forcing)
+    object.__setattr__(
+        bare, "ops", dataclasses.replace(prob.ops, mass=None, broken_mass=None, dgrad=None, restriction=None)
+    )
+    u = rng.standard_normal(prob.ops.n_interior)
+    for eps in (1e-6, 1e-2):
+        assert np.isclose(objective(bare, u, eps), oracles.objective(prob, u, eps), rtol=1e-12, atol=0.0)
+        assert_matches(gradient(bare, u, eps), oracles.gradient(prob, u, eps))
+        assert_matches(_hessian(bare, u, eps), oracles.hessian(prob, u, eps))
+        assert np.isclose(kkt_residual(bare, u, eps), oracles.kkt_residual(prob, u, eps), rtol=1e-12, atol=0.0)

@@ -2,13 +2,17 @@
 
 ``perfbench/tracing.py`` replaces each (module, attribute) of its
 ``TRACE_POINTS`` with a timing wrapper, and counts factorizations
-through ``splap.psolver.splu``.  These tests fail when a rename in
-``src/`` would break a traced benchmark run.
+through ``splap.psolver.splu``.  ``tracing.layer_metrics`` derives the
+iterations per smoothing level and the Armijo acceptance ratio from the
+``objective`` and ``gradient`` calls inside each ``solve_step``.  These
+tests fail when a rename or a change of that call protocol in ``src/``
+would break a traced benchmark run.
 """
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import splap.psolver
 from splap.constitutive import GrowthParams
@@ -45,3 +49,35 @@ def test_solve_step_factors_through_splu(monkeypatch):
     assert report.iterations > 0
     # the presolve plus one factorization per Newton iteration at least
     assert len(calls) >= 1 + report.iterations
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
+def test_solve_step_call_protocol(monkeypatch, p):
+    counts = {"objective": 0, "gradient": 0}
+
+    def counting(name):
+        fn = getattr(splap.psolver, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(splap.psolver, name, counting(name))
+    ops = assemble(generate_unit_square(6))
+    rng = np.random.default_rng(int(10 * p))
+    for tau in (0.02, 0.5):
+        prob = StepProblem(
+            ops=ops, params=GrowthParams(p), tau_m=tau, forcing=rng.standard_normal(3 * ops.n_simplices)
+        )
+        counts.update(objective=0, gradient=0)
+        _, report = solve_step(prob, rng.standard_normal(ops.n_interior))
+        levels = len(report.continuation_levels)
+        # per level the anchor, the start point and one per Newton
+        # iteration, plus the final check
+        assert counts["gradient"] == report.iterations + 2 * levels + 1
+        # two pick the start point, one opens each level, at least one
+        # line-search trial per Newton iteration
+        assert counts["objective"] >= 2 + levels + report.iterations
