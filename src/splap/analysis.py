@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +42,7 @@ from .config import ExperimentConfig, phi_function, sigma_function
 from .constitutive import GrowthParams
 from .fem import FemOperators, assemble, l2_error_sq, quasinorm_error_sq
 from .mesh import generate_unit_square
-from .stepper import SchemeConfig, Trajectory, run_trajectory
+from .stepper import SchemeConfig, Trajectory, grid_path_indices, run_trajectory
 from .stochastics import (
     mix_seed,
     noise_from_function,
@@ -257,8 +257,9 @@ def _path_layout(cfg: ExperimentConfig):
     Deterministic grids run the reference at tau_ref on a lattice with
     step tau_ref.  Random grids need a lattice fine enough to give each
     sampling window interior points (step tau_ref/4) and long enough to
-    hold the last random point, which may exceed T by max(tau)/4; the
-    reference then visits every lattice point.
+    hold the last random point, which may exceed T by max(tau)/4.  The
+    reference visits every lattice point up to the last one the
+    replicate's ladder grids reach, and stops there.
     """
     n_base = int(round(cfg.horizon / cfg.tau_ref))
     if cfg.grid_kind == "deterministic":
@@ -271,13 +272,33 @@ def _path_layout(cfg: ExperimentConfig):
 
 
 def _replicate_errors(cfg: ExperimentConfig, p: float, r: int):
-    """Errors of one replicate: {tau_index: (total, max_l2, quasi)}."""
+    """Errors of one replicate: {tau_index: (total, max_l2, quasi)}.
+
+    All ladder grids are drawn first.  The reference then marches once,
+    only up to the last lattice point those grids reach: the path and
+    the reference grid are sliced there, so every point it visits keeps
+    its bits.  A ladder grid whose points equal the reference's is
+    served by the reference trajectory itself; its log cell carries the
+    reference's iteration count, which a re-run would repeat.
+    """
     ops, noise = _runtime(cfg.mesh_n, cfg.phi, cfg.noise_components, cfg.noise_mode, cfg.sigma)
     params = GrowthParams(p, cfg.kappa)
     initial = np.full(ops.n_vertices, float(cfg.u0))
     n_fine, path_horizon, n_lattice = _path_layout(cfg)
     path = sample_path(mix_seed(cfg.master_seed, r), path_horizon, n_fine, cfg.noise_components)
     ref_grid = uniform_time_grid(n_fine, path_horizon)
+
+    def ladder_grid(i, tau):
+        n_steps = int(round(cfg.horizon / tau))
+        if cfg.grid_kind == "deterministic":
+            return uniform_time_grid(n_steps, cfg.horizon)
+        seed = mix_seed(mix_seed(cfg.master_seed, r), i + 1)
+        return random_time_grid(seed, n_steps, cfg.horizon, snap_to=n_lattice)
+
+    grids = [ladder_grid(i, tau) for i, tau in enumerate(cfg.tau_ladder)]
+    k = max(int(grid_path_indices(grid, path)[-1]) for grid in grids)
+    path = replace(path, increments=path.increments[:k])
+    ref_grid = replace(ref_grid, points=ref_grid.points[: k + 1])
 
     def scheme(grid):
         return SchemeConfig(
@@ -292,38 +313,21 @@ def _replicate_errors(cfg: ExperimentConfig, p: float, r: int):
             clip_initial=cfg.clip_initial,
         )
 
+    def cell(tau, trajectory):
+        iterations = int(sum(rep.iterations for rep in trajectory.reports))
+        return {"p": p, "replicate": r, "tau": tau, "newton_iterations": iterations}
+
     fine = run_trajectory(scheme(ref_grid))
-    cells = [
-        {
-            "p": p,
-            "replicate": r,
-            "tau": "reference",
-            "newton_iterations": int(sum(rep.iterations for rep in fine.reports)),
-        }
-    ]
+    cells = [cell("reference", fine)]
     rows = {}
-    for i, tau in enumerate(cfg.tau_ladder):
-        n_steps = int(round(cfg.horizon / tau))
-        if cfg.grid_kind == "deterministic":
-            grid = uniform_time_grid(n_steps, cfg.horizon)
+    for i, (tau, grid) in enumerate(zip(cfg.tau_ladder, grids)):
+        if np.array_equal(grid.points, ref_grid.points):
+            coarse = fine
         else:
-            grid = random_time_grid(
-                mix_seed(mix_seed(cfg.master_seed, r), i + 1),
-                n_steps,
-                cfg.horizon,
-                snap_to=n_lattice,
-            )
-        coarse = run_trajectory(scheme(grid))
+            coarse = run_trajectory(scheme(grid))
         err = path_error(coarse, fine, ops, params)
         rows[i] = (err.total, err.max_l2_sq, err.quasi_sum)
-        cells.append(
-            {
-                "p": p,
-                "replicate": r,
-                "tau": tau,
-                "newton_iterations": int(sum(rep.iterations for rep in coarse.reports)),
-            }
-        )
+        cells.append(cell(tau, coarse))
     return rows, cells
 
 

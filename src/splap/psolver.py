@@ -227,11 +227,15 @@ def _raise_if_singular(norms: np.ndarray, p: float, eps: float) -> None:
 def gradient(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> np.ndarray:
     """Gradient of objective(., eps) with respect to the interior unknowns."""
     point = _point(prob, u_interior, eps)
-    p, kappa = prob.params.p, prob.params.kappa
-    _raise_if_singular(point.norms, p, eps)
-    scale = (kappa + point.norms) ** (p - 2.0)
+    _raise_if_singular(point.norms, prob.params.p, eps)
+    return _residual(prob, point, *_smoothed_tensor(prob, point))
+
+
+def _smoothed_tensor(prob: StepProblem, point: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """Components (s1, s2) of the tensor of the eps-smoothed energy per simplex."""
+    scale = (prob.params.kappa + point.norms) ** (prob.params.p - 2.0)
     # the last column is the one euclidean norm, or the second component's
-    return _residual(prob, point, scale[:, 0] * point.g1, scale[:, -1] * point.g2)
+    return scale[:, 0] * point.g1, scale[:, -1] * point.g2
 
 
 def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarray:
@@ -263,20 +267,22 @@ def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) ->
     """Interior residual norm of the variational form of the step.
 
     Measures || R (P u + tau sum_i Di' diag(areas) s_i - Pt' f) || with
-    s_i the i-th component of S(grad u) per simplex.  With eps = 0 the
-    unsmoothed tensor is used (continuous zero extension at vanishing
-    gradients); with eps > 0 the tensor of the eps-smoothed euclidean
-    energy, the form whose residual the solver drives below tolerance
-    for p < 2.
+    s_i the i-th component of S(grad u) per simplex, S the tensor of the
+    problem's formulation (componentwise: the scalar tensor of each
+    gradient component).  With eps = 0 the unsmoothed tensor is used
+    (continuous zero extension where a norm vanishes); with eps > 0 the
+    tensor of the eps-smoothed energy, the form whose residual the
+    solver drives below tolerance for p < 2.
     """
     point = _point(prob, u_interior, eps)
-    g1, g2 = point.g1, point.g2
     if eps == 0.0:
-        s = tensor_s_rows(np.column_stack([g1, g2]), prob.params)
+        g = np.column_stack([point.g1, point.g2])
+        if prob.formulation == "componentwise":
+            g = g[:, :, None]  # each component a row of its own
+        s = tensor_s_rows(g, prob.params).reshape(-1, 2)
         s1, s2 = s[:, 0], s[:, 1]
     else:
-        scale = (prob.params.kappa + np.sqrt(eps * eps + g1 * g1 + g2 * g2)) ** (prob.params.p - 2.0)
-        s1, s2 = scale * g1, scale * g2
+        s1, s2 = _smoothed_tensor(prob, point)
     return float(np.linalg.norm(_residual(prob, point, s1, s2)))
 
 

@@ -4,15 +4,21 @@ A randomly renumbered mesh, a band densifier, and the step objective,
 its gradient, Hessian and KKT residual as the solver computed them
 before the per-point state: each call prolongs u and runs the CSR
 derivative and mass products itself, and the Hessian sums dense
-per-simplex 3 x 3 blocks into the band.
+per-simplex 3 x 3 blocks into the band.  Last, the errors of one
+Monte-Carlo replicate as the harness computed them before the reference
+was shared: the reference marches the whole path lattice and every
+ladder entry runs its own trajectory.
 """
 
 import numpy as np
 from scipy.spatial import Delaunay
 
-from splap.constitutive import tensor_s_rows
+from splap.analysis import _path_layout, _runtime, path_error
+from splap.constitutive import GrowthParams, tensor_s_rows
 from splap.mesh import _signed_areas, generate_unit_square, make_mesh
 from splap.psolver import SingularityError, _energy_density
+from splap.stepper import SchemeConfig, run_trajectory
+from splap.stochastics import mix_seed, random_time_grid, sample_path, uniform_time_grid
 
 
 def jittered_mesh(n, seed):
@@ -132,7 +138,12 @@ def kkt_residual(prob, u_interior, eps=0.0):
     u = prob.ops.prolong(u_interior)
     d1, d2 = prob.ops.dgrad
     g = np.column_stack([d1 @ u, d2 @ u])
-    if eps == 0.0:
+    if prob.formulation == "componentwise":
+        # the scalar tensor of each component, zero where it vanishes
+        s = np.zeros_like(g)
+        nz = g != 0.0
+        s[nz] = (prob.params.kappa + np.sqrt(eps * eps + g[nz] * g[nz])) ** (prob.params.p - 2.0) * g[nz]
+    elif eps == 0.0:
         s = tensor_s_rows(g, prob.params)
     else:
         base = prob.params.kappa + np.sqrt(eps * eps + np.sum(g * g, axis=1))
@@ -140,3 +151,60 @@ def kkt_residual(prob, u_interior, eps=0.0):
     areas = prob.ops.areas
     r = prob.ops.mass @ u + prob.tau_m * (d1.T @ (areas * s[:, 0]) + d2.T @ (areas * s[:, 1])) - prob.load
     return float(np.linalg.norm(r[prob.ops.interior]))
+
+
+def replicate_errors(cfg, p, r):
+    """Errors of one replicate: {tau_index: (total, max_l2, quasi)}, and its log cells."""
+    ops, noise = _runtime(cfg.mesh_n, cfg.phi, cfg.noise_components, cfg.noise_mode, cfg.sigma)
+    params = GrowthParams(p, cfg.kappa)
+    initial = np.full(ops.n_vertices, float(cfg.u0))
+    n_fine, path_horizon, n_lattice = _path_layout(cfg)
+    path = sample_path(mix_seed(cfg.master_seed, r), path_horizon, n_fine, cfg.noise_components)
+    ref_grid = uniform_time_grid(n_fine, path_horizon)
+
+    def scheme(grid):
+        return SchemeConfig(
+            ops=ops,
+            params=params,
+            grid=grid,
+            noise=noise,
+            path=path,
+            initial=initial,
+            solver_tol=cfg.solver_tol,
+            formulation=cfg.formulation,
+            clip_initial=cfg.clip_initial,
+        )
+
+    fine = run_trajectory(scheme(ref_grid))
+    cells = [
+        {
+            "p": p,
+            "replicate": r,
+            "tau": "reference",
+            "newton_iterations": int(sum(rep.iterations for rep in fine.reports)),
+        }
+    ]
+    rows = {}
+    for i, tau in enumerate(cfg.tau_ladder):
+        n_steps = int(round(cfg.horizon / tau))
+        if cfg.grid_kind == "deterministic":
+            grid = uniform_time_grid(n_steps, cfg.horizon)
+        else:
+            grid = random_time_grid(
+                mix_seed(mix_seed(cfg.master_seed, r), i + 1),
+                n_steps,
+                cfg.horizon,
+                snap_to=n_lattice,
+            )
+        coarse = run_trajectory(scheme(grid))
+        err = path_error(coarse, fine, ops, params)
+        rows[i] = (err.total, err.max_l2_sq, err.quasi_sum)
+        cells.append(
+            {
+                "p": p,
+                "replicate": r,
+                "tau": tau,
+                "newton_iterations": int(sum(rep.iterations for rep in coarse.reports)),
+            }
+        )
+    return rows, cells

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import oracles
 
+import splap.analysis
 from splap.analysis import (
     CorrectionError,
     MonteCarloTable,
+    _replicate_errors,
     bias,
     corrected_rate,
     fit_rate,
@@ -19,7 +22,7 @@ from splap.config import ExperimentConfig
 from splap.constitutive import GrowthParams, tensor_f
 from splap.fem import assemble
 from splap.mesh import generate_unit_square
-from splap.stepper import SchemeConfig, Trajectory, run_trajectory
+from splap.stepper import SchemeConfig, Trajectory, grid_path_indices, run_trajectory
 from splap.stochastics import make_noise_coefficient, sample_path, uniform_time_grid
 
 
@@ -302,3 +305,71 @@ def test_monte_carlo_worker_independence():
     assert np.array_equal(serial.totals, parallel.totals)
     assert np.array_equal(serial.max_l2, parallel.max_l2)
     assert np.array_equal(serial.quasi, parallel.quasi)
+
+
+# Ladders for the reference-sharing tests.  The lattices are dyadic, so
+# the reference and the ladder grids put each shared point on the same
+# float.
+def sharing_config(grid_kind, ladder, tau_ref=0.125):
+    return ExperimentConfig(
+        mesh_n=4,
+        tau_ladder=ladder,
+        tau_ref=tau_ref,
+        n_replicates=2,
+        master_seed=3,
+        grid_kind=grid_kind,
+    )
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5])
+@pytest.mark.parametrize("grid_kind", ["deterministic", "random"])
+def test_replicate_errors_match_unshared_oracle(grid_kind, p):
+    # the ladder ends at tau_ref: on deterministic grids its last entry
+    # is the reference; on random grids the reference stops early
+    cfg = sharing_config(grid_kind, (0.5, 0.25, 0.125))
+    for r in range(cfg.n_replicates):
+        rows, cells = _replicate_errors(cfg, p, r)
+        want_rows, want_cells = oracles.replicate_errors(cfg, p, r)
+        assert rows == want_rows
+        assert len(cells) == len(want_cells)
+        ref, want_ref = cells[0], want_cells[0]
+        assert cells[1:] == want_cells[1:]
+        assert {k: v for k, v in ref.items() if k != "newton_iterations"} == {
+            k: v for k, v in want_ref.items() if k != "newton_iterations"
+        }
+        if grid_kind == "deterministic":
+            assert ref == want_ref
+        else:
+            # the truncated reference runs fewer steps
+            assert ref["newton_iterations"] <= want_ref["newton_iterations"]
+
+
+@pytest.mark.parametrize(
+    "grid_kind, ladder, reuses",
+    [
+        ("deterministic", (0.5, 0.25, 0.125), True),
+        ("deterministic", (0.5, 0.25), False),
+        ("random", (0.5, 0.25, 0.125), False),
+    ],
+)
+def test_reference_runs_once_up_to_the_last_point_read(monkeypatch, grid_kind, ladder, reuses):
+    cfg = sharing_config(grid_kind, ladder)
+    calls = []
+
+    def counting(scheme):
+        calls.append(scheme)
+        return run_trajectory(scheme)
+
+    monkeypatch.setattr(splap.analysis, "run_trajectory", counting)
+    for r in range(cfg.n_replicates):
+        calls.clear()
+        _replicate_errors(cfg, 2.5, r)
+        assert len(calls) == len(ladder) + (0 if reuses else 1)
+        ref, coarse = calls[0], calls[1:]
+        # the reference marches its whole (sliced) path, which is how a
+        # tracer tells it from a coarse trajectory
+        assert ref.grid.n_steps == ref.path.n_fine
+        assert all(c.grid.n_steps < c.path.n_fine for c in coarse)
+        # it ends on the last lattice point any ladder grid reaches
+        assert ref.grid.points[-1] == max(c.grid.points[-1] for c in coarse)
+        assert ref.path.n_fine == max(int(grid_path_indices(c.grid, ref.path)[-1]) for c in coarse)

@@ -294,21 +294,23 @@ def test_kkt_residual_at_solution():
     # tolerance scale; for p < 2 the smoothed Hessian carries weights of
     # order eps^{p-3}, so tolerances below the float resolution of the
     # objective are unreachable and the contract is exercised at a
-    # tolerance above that floor
-    rng = np.random.default_rng(6)
-    for p, tol in ((1.1, 1e-5), (1.5, 1e-6), (2.0, 1e-9), (2.5, 1e-9)):
-        prob = random_problem(rng, n=4, p=p, tau=0.2)
-        eps_final = EPS_SCHEDULE[-1] if p < 2 else 0.0
-        u, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=tol)
-        scale = 1.0 + np.linalg.norm(gradient(prob, np.zeros(prob.ops.n_interior), eps=eps_final))
-        assert kkt_residual(prob, u, eps=eps_final) <= 10.0 * tol * scale
-        # the smoothed residual is exactly the gradient norm of the
-        # smoothed objective, which the report records
-        assert np.isclose(
-            kkt_residual(prob, u, eps=eps_final), report.final_grad_norm, rtol=1e-12
-        )
-        # random non-optimal points have strictly positive residual
-        assert kkt_residual(prob, u + 0.1) > 1e-4
+    # tolerance above that floor.  The residual measures the tensor of
+    # the problem's own formulation.
+    for formulation in ("euclidean", "componentwise"):
+        rng = np.random.default_rng(6)
+        for p, tol in ((1.1, 1e-5), (1.5, 1e-6), (2.0, 1e-9), (2.5, 1e-9)):
+            prob = random_problem(rng, n=4, p=p, tau=0.2, formulation=formulation)
+            eps_final = EPS_SCHEDULE[-1] if p < 2 else 0.0
+            u, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=tol)
+            scale = 1.0 + np.linalg.norm(gradient(prob, np.zeros(prob.ops.n_interior), eps=eps_final))
+            assert kkt_residual(prob, u, eps=eps_final) <= 10.0 * tol * scale
+            # the smoothed residual is exactly the gradient norm of the
+            # smoothed objective, which the report records
+            assert np.isclose(
+                kkt_residual(prob, u, eps=eps_final), report.final_grad_norm, rtol=1e-12, atol=0.0
+            )
+            # random non-optimal points have strictly positive residual
+            assert kkt_residual(prob, u + 0.1) > 1e-4
 
 
 def test_kkt_residual_float_floor_for_degenerate_p():
