@@ -126,21 +126,3 @@ def run_trajectory(cfg: SchemeConfig) -> Trajectory:
         reports.append(report)
     return Trajectory(states=states, grid=cfg.grid, reports=reports)
 
-
-def run_nested_pair(cfg_coarse: SchemeConfig, cfg_fine: SchemeConfig) -> tuple[Trajectory, Trajectory]:
-    """Run a coarse and a fine trajectory on one shared path.
-
-    Validates that both configurations use the same path and that every
-    coarse grid point is also a fine grid point, so the pair is a valid
-    input for the refinement error.
-    """
-    if cfg_coarse.path is not cfg_fine.path and not (
-        cfg_coarse.path.finest_step == cfg_fine.path.finest_step
-        and np.array_equal(cfg_coarse.path.increments, cfg_fine.path.increments)
-    ):
-        raise ValueError("coarse and fine trajectories must share one noise path")
-    idx_c = grid_path_indices(cfg_coarse.grid, cfg_coarse.path)
-    idx_f = grid_path_indices(cfg_fine.grid, cfg_fine.path)
-    if not np.all(np.isin(idx_c, idx_f)):
-        raise ValueError("coarse grid is not nested in the fine grid")
-    return run_trajectory(cfg_coarse), run_trajectory(cfg_fine)

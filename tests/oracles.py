@@ -4,7 +4,9 @@ A randomly renumbered mesh, a band densifier, and the step objective,
 its gradient, Hessian and KKT residual as the solver computed them
 before the per-point state: each call prolongs u and runs the CSR
 derivative and mass products itself, and the Hessian sums dense
-per-simplex 3 x 3 blocks into the band.  Last, the errors of one
+per-simplex 3 x 3 blocks into the band.  The step solve as it was
+before the primal-dual Newton matrix: every level, smoothed or not,
+runs damped Newton on the primal Hessian.  Last, the errors of one
 Monte-Carlo replicate as the harness computed them before the reference
 was shared: the reference marches the whole path lattice and every
 ladder entry runs its own trajectory.
@@ -16,7 +18,20 @@ from scipy.spatial import Delaunay
 from splap.analysis import _path_layout, _runtime, path_error
 from splap.constitutive import GrowthParams, tensor_s_rows
 from splap.mesh import _signed_areas, generate_unit_square, make_mesh
-from splap.psolver import SingularityError, _energy_density
+from splap.psolver import (
+    ARMIJO_C1,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ConvergenceError,
+    SingularityError,
+    _energy_density,
+    _hessian,
+    _newton_direction,
+    _presolve,
+    _schedule,
+)
+from splap.psolver import gradient as step_gradient
+from splap.psolver import objective as step_objective
 from splap.stepper import SchemeConfig, run_trajectory
 from splap.stochastics import mix_seed, random_time_grid, sample_path, uniform_time_grid
 
@@ -151,6 +166,49 @@ def kkt_residual(prob, u_interior, eps=0.0):
     areas = prob.ops.areas
     r = prob.ops.mass @ u + prob.tau_m * (d1.T @ (areas * s[:, 0]) + d2.T @ (areas * s[:, 1])) - prob.load
     return float(np.linalg.norm(r[prob.ops.interior]))
+
+
+def _primal_level(prob, u, eps, target, max_iter):
+    """Damped Newton on the primal Hessian at one smoothing level: (u, iterations)."""
+    g = step_gradient(prob, u, eps)
+    f = step_objective(prob, u, eps)
+    it = 0
+    while float(np.linalg.norm(g)) > target:
+        if it >= max_iter:
+            raise ConvergenceError(f"iteration cap {max_iter} exceeded at eps={eps:g}")
+        d = _newton_direction(_hessian(prob, u, eps), g, prob.ops.pattern)
+        slope = float(g @ d)
+        if abs(slope) * 0.5 < 1e-15 * (1.0 + abs(f)):
+            break
+        alpha = 1.0
+        while True:
+            trial = u + alpha * d
+            ft = step_objective(prob, trial, eps)
+            if np.isfinite(ft) and ft <= f + ARMIJO_C1 * alpha * slope:
+                break
+            alpha *= 0.5
+            if alpha < 2.0**-60:
+                raise ConvergenceError(f"line search stalled at eps={eps:g}")
+        u, f = trial, ft
+        it += 1
+        g = step_gradient(prob, u, eps)
+    return u, it
+
+
+def solve_step_primal(prob, warm_start, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """solve_step with primal Newton on every level: (u, total iterations)."""
+    levels = _schedule(prob.params)
+    u = np.array(warm_start, dtype=float)
+    pre = _presolve(prob)
+    if step_objective(prob, pre, levels[0]) < step_objective(prob, u, levels[0]):
+        u = pre
+    total = 0
+    for k, eps in enumerate(levels):
+        anchor = warm_start if k == len(levels) - 1 else u
+        target = tol * (1.0 + float(np.linalg.norm(step_gradient(prob, anchor, eps))))
+        u, it = _primal_level(prob, u, eps, target, max_iter)
+        total += it
+    return u, total
 
 
 def replicate_errors(cfg, p, r):

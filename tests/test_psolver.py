@@ -1,6 +1,7 @@
 """Tests for the per-step convex minimization solver."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ import oracles
 from oracles import band_to_dense, jittered_mesh
 
 import splap.psolver
+import splap.stepper
+from splap.analysis import _runtime
+from splap.config import ExperimentConfig
 from splap.constitutive import GrowthParams, tensor_s_rows
 from splap.fem import assemble, gradient_per_simplex
 from splap.mesh import generate_unit_square
@@ -19,14 +23,22 @@ from splap.psolver import (
     HESSIAN_SHIFT,
     SingularityError,
     StepProblem,
+    _dual,
+    _dual_hessian,
+    _dual_step,
     _hessian,
     _newton_direction,
+    _point,
     _presolve,
+    _smoothed_tensor,
     gradient,
     kkt_residual,
     objective,
     solve_step,
+    splu,
 )
+from splap.stepper import SchemeConfig, run_trajectory
+from splap.stochastics import sample_path, uniform_time_grid
 
 
 def random_problem(rng, n=4, p=2.0, kappa=0.0, tau=0.1, formulation="euclidean"):
@@ -600,3 +612,222 @@ def test_point_evaluations_use_no_sparse_operator():
         assert_matches(gradient(bare, u, eps), oracles.gradient(prob, u, eps))
         assert_matches(_hessian(bare, u, eps), oracles.hessian(prob, u, eps))
         assert np.isclose(kkt_residual(bare, u, eps), oracles.kkt_residual(prob, u, eps), rtol=1e-12, atol=0.0)
+
+
+def smooth_forcing(ops, rng):
+    """A broken forcing of order one: a smooth random mode plus a little noise.
+
+    Under white noise alone a step with p = 1.1 and tau = 0.5 flattens
+    u to about 1e-8, where the float floor of the stopping rule (an
+    absolute 1e-15 while |J| << 1) leaves only a few digits of u.
+    """
+    x, y = ops.mesh.vertices.T
+    k = rng.uniform(0.5, 2.0, size=2)
+    v = 3.0 * np.sin(np.pi * k[0] * x) * np.cos(np.pi * k[1] * y) + rng.uniform(-1.0, 1.0)
+    return v[ops.mesh.simplices].ravel() + 0.3 * rng.standard_normal(3 * ops.n_simplices)
+
+
+def smoothed_problem(mesh_name, p, kappa, formulation, tau, seed):
+    ops = assemble(oracle_meshes()[mesh_name])
+    rng = np.random.default_rng(seed)
+    prob = StepProblem(
+        ops=ops,
+        params=GrowthParams(p, kappa=kappa),
+        tau_m=tau,
+        forcing=smooth_forcing(ops, rng),
+        formulation=formulation,
+    )
+    return prob, rng
+
+
+PRIMAL_DUAL_CASES = [
+    (p, kappa, formulation, tau)
+    for p in (1.1, 1.2, 1.5)
+    for kappa in (0.0, 0.3)
+    for formulation in ("euclidean", "componentwise")
+    for tau in (0.02, 0.5)
+]
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("p, kappa, formulation, tau", PRIMAL_DUAL_CASES)
+def test_primal_dual_solve_matches_primal_oracle(mesh_name, p, kappa, formulation, tau):
+    prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, tau, seed=int(100 * p + 10 * kappa + 1000 * tau))
+    warm = rng.standard_normal(prob.ops.n_interior)
+    eps = EPS_SCHEDULE[-1]
+    # above the float floor of the stopping rule the target is reached
+    tol = 1e-6
+    u, _ = solve_step(prob, warm, tol=tol)
+    assert kkt_residual(prob, u, eps) <= tol * (1.0 + np.linalg.norm(gradient(prob, warm, eps)))
+    # at the default tolerance both solves end on the float floor of J,
+    # which resolves u to some 1e-7 (2e-7 at worst here); J is strongly
+    # convex with modulus lambda_min(R P R'), so the two residuals also
+    # bound the distance of the two points
+    u, _ = solve_step(prob, warm)
+    u_primal, _ = oracles.solve_step_primal(prob, warm)
+    gap = np.linalg.norm(u - u_primal)
+    assert gap <= 1e-6 * np.linalg.norm(u_primal)
+    modulus = np.linalg.eigvalsh(band_to_dense(prob.ops.pattern, prob.ops.pattern.mass))[0]
+    assert gap <= (kkt_residual(prob, u, eps) + kkt_residual(prob, u_primal, eps)) / modulus
+
+
+DUAL_MATRIX_CASES = [
+    (p, kappa, formulation)
+    for p, kappa in ((1.1, 0.0), (1.2, 0.3), (1.5, 0.0), (1.5, 0.3))
+    for formulation in ("euclidean", "componentwise")
+]
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("p, kappa, formulation", DUAL_MATRIX_CASES)
+def test_dual_matrix_at_primal_flux_is_the_hessian(mesh_name, p, kappa, formulation):
+    prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, 0.3, seed=int(100 * p + 10 * kappa))
+    for eps in EPS_SCHEDULE:
+        u = rng.standard_normal(prob.ops.n_interior)
+        point = _point(prob, u, eps)
+        hessian = _hessian(prob, u, eps)
+        assert_matches(_dual_hessian(prob, _dual(prob, point)), hessian)
+        # the primal flux lies in the ball: projecting it changes nothing
+        assert_matches(_dual_hessian(prob, _dual(prob, point, _smoothed_tensor(prob, point))), hessian)
+
+
+def flux_radius_and_size(prob, point, sigma1, sigma2):
+    """(kappa + n)**(p-2) n and |sigma| per norm column of ``point``."""
+    norms = point.norms
+    radius = (prob.params.kappa + norms) ** (prob.params.p - 2.0) * norms
+    sigma = np.column_stack([sigma1, sigma2])
+    if prob.formulation == "euclidean":
+        return radius, np.linalg.norm(sigma, axis=1)[:, None]
+    return radius, np.abs(sigma)
+
+
+def random_flux(prob, point, rng, fraction):
+    """Fluxes of ``fraction`` times the ball's radius, in random directions."""
+    radius, _ = flux_radius_and_size(prob, point, point.g1, point.g2)
+    ns = radius.shape[0]
+    if prob.formulation == "euclidean":
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=ns)
+        sigma = (radius * fraction) * np.column_stack([np.cos(angle), np.sin(angle)])
+    else:
+        sigma = radius * fraction * rng.choice([-1.0, 1.0], size=(ns, 2))
+    return sigma[:, 0], sigma[:, 1]
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("p, kappa, formulation", DUAL_MATRIX_CASES)
+def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa, formulation):
+    # inside the ball every simplex weight is at least (p - 1) s, so the
+    # matrix minus P + tau (p - 1) sum_j |S_j| s_j (gx gx' + gy gy') is
+    # positive semidefinite and the band factors
+    prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, 0.3, seed=int(100 * p + 10 * kappa) + 1)
+    pattern = prob.ops.pattern
+    for eps in EPS_SCHEDULE:
+        u = rng.standard_normal(prob.ops.n_interior)
+        point = _point(prob, u, eps)
+        # lengths from zero to the radius, a third on the boundary
+        fraction = rng.uniform(0.0, 1.0, size=point.norms.shape)
+        fraction[: fraction.shape[0] // 3] = 1.0
+        fraction[fraction.shape[0] // 3 : fraction.shape[0] // 2] = 0.0
+        flux = random_flux(prob, point, rng, fraction)
+        dual = _dual(prob, point, flux)
+        # the projection keeps a flux that is inside already
+        np.testing.assert_allclose(np.column_stack([dual.sigma1, dual.sigma2]), np.column_stack(flux), rtol=1e-14, atol=0.0)
+        h = _dual_hessian(prob, dual)
+        assert splu(pattern, h, rng.standard_normal(prob.ops.n_interior)) is not None
+        s = (kappa + point.norms) ** (p - 2.0)
+        areas = prob.ops.areas
+        floor = pattern.mass + prob.tau_m * (p - 1.0) * pattern.weighted_stiffness(
+            areas * s[:, 0], np.zeros_like(areas), areas * s[:, -1]
+        )
+        excess = band_to_dense(pattern, h - floor)
+        assert np.linalg.eigvalsh(excess)[0] >= -1e-12 * np.abs(band_to_dense(pattern, h)).max()
+        # a flux outside the ball is scaled onto its boundary
+        outside = _dual(prob, point, random_flux(prob, point, rng, rng.uniform(1.5, 4.0, size=fraction.shape)))
+        radius, size = flux_radius_and_size(prob, point, outside.sigma1, outside.sigma2)
+        np.testing.assert_allclose(size, radius, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+def test_flux_projection_and_update_at_zero(formulation):
+    # a zero flux and vanishing gradients pass without a floating-point warning
+    ops = assemble(generate_unit_square(4))
+    prob = StepProblem(
+        ops=ops, params=GrowthParams(1.1), tau_m=0.2, forcing=np.zeros(3 * ops.n_simplices), formulation=formulation
+    )
+    zero = np.zeros(ops.n_interior)
+    flux = (np.zeros(ops.n_simplices), np.zeros(ops.n_simplices))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            for eps in EPS_SCHEDULE:
+                point = _point(prob, zero, eps)
+                for dual in (_dual(prob, point, flux), _dual_step(prob, _dual(prob, point), point)):
+                    assert np.array_equal(dual.sigma1, flux[0]) and np.array_equal(dual.sigma2, flux[1])
+                    assert_matches(_dual_hessian(prob, dual), _hessian(prob, zero, eps))
+            u, report = solve_step(prob, zero)
+    assert np.array_equal(u, zero)
+    assert report.iterations == 0
+
+
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+def test_dual_flux_stays_in_the_ball_of_each_level(formulation, monkeypatch):
+    # every Newton matrix of a smoothed level sees a flux inside the ball
+    # of its own point and level; the first one of a solve sees the
+    # primal flux of its start point
+    seen = []
+    dual_hessian = splap.psolver._dual_hessian
+
+    def checked(prob, dual):
+        point = dual.point
+        radius, size = flux_radius_and_size(prob, point, dual.sigma1, dual.sigma2)
+        assert np.all(size <= radius * (1.0 + 1e-14))
+        primal = np.column_stack(_smoothed_tensor(prob, point))
+        seen.append((point.eps, np.column_stack([dual.sigma1, dual.sigma2]), primal))
+        return dual_hessian(prob, dual)
+
+    monkeypatch.setattr(splap.psolver, "_dual_hessian", checked)
+    levels = set()
+    for mesh_name in ("structured", "jittered"):
+        for p, tau in ((1.1, 0.5), (1.2, 0.02), (1.5, 0.1)):
+            prob, rng = smoothed_problem(mesh_name, p, 0.0, formulation, tau, seed=int(100 * p))
+            seen.clear()
+            _, report = solve_step(prob, rng.standard_normal(prob.ops.n_interior))
+            assert len(seen) >= report.iterations > 0
+            eps, flux, primal = seen[0]
+            assert eps == EPS_SCHEDULE[0]
+            np.testing.assert_array_equal(flux, primal)
+            levels.update(e for e, _, _ in seen)
+    assert levels == set(EPS_SCHEDULE)
+
+
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+def test_primal_dual_halves_newton_iterations_at_p_1_1(formulation, monkeypatch):
+    # the steps of one p = 1.1 trajectory on mesh 16 over T = 1/4 with the
+    # default noise, each solved by the primal-dual level loop and by the
+    # primal oracle from the same warm start
+    cfg = ExperimentConfig()
+    ops, noise = _runtime(16, cfg.phi, 1, "additive", cfg.sigma)
+    n_steps, horizon = 8, 0.25
+    steps = []
+
+    def recording(prob, warm, tol):
+        u, report = solve_step(prob, warm, tol=tol)
+        steps.append((prob, warm.copy(), report.iterations))
+        return u, report
+
+    monkeypatch.setattr(splap.stepper, "solve_step", recording)
+    run_trajectory(
+        SchemeConfig(
+            ops=ops,
+            params=GrowthParams(1.1),
+            grid=uniform_time_grid(n_steps, horizon),
+            noise=noise,
+            path=sample_path(7, horizon, n_steps, 1),
+            initial=np.ones(ops.n_vertices),
+            formulation=formulation,
+        )
+    )
+    assert len(steps) == n_steps
+    primal_dual = sum(it for _, _, it in steps)
+    primal = sum(oracles.solve_step_primal(prob, warm)[1] for prob, warm, _ in steps)
+    assert primal_dual <= 0.7 * primal

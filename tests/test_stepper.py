@@ -1,4 +1,4 @@
-"""Tests for trajectory marching and nested-pair runs."""
+"""Tests for trajectory marching."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,11 @@ from splap.stepper import (
     StepFailure,
     Trajectory,
     grid_path_indices,
-    run_nested_pair,
     run_trajectory,
 )
 from splap.stochastics import (
     NoisePath,
     make_noise_coefficient,
-    noise_from_function,
     sample_path,
     uniform_time_grid,
 )
@@ -160,73 +158,6 @@ def test_state_depends_only_on_past_increments():
     alt = run_trajectory(alt_cfg)
     assert np.array_equal(traj.states[: cut + 1], alt.states[: cut + 1])
     assert not np.array_equal(traj.states, alt.states)
-
-
-def test_nested_pair_same_grid_bit_identical():
-    cfg = heat_config(n=4, n_steps=4, phi_scale=0.5, seed=9)
-    coarse, fine = run_nested_pair(cfg, cfg)
-    assert np.array_equal(coarse.states, fine.states)
-
-
-def test_nested_pair_shares_increments():
-    mesh = generate_unit_square(4)
-    ops = assemble(mesh)
-    noise = noise_from_function(mesh, lambda x, y: 1.0)
-    horizon = 1.0
-    path = sample_path(5, horizon, 16, 1)
-    cfg_c = SchemeConfig(
-        ops=ops,
-        params=GrowthParams(2.0),
-        grid=uniform_time_grid(4, horizon),
-        noise=noise,
-        path=path,
-        initial=np.ones(mesh.n_vertices),
-    )
-    cfg_f = SchemeConfig(
-        ops=ops,
-        params=GrowthParams(2.0),
-        grid=uniform_time_grid(16, horizon),
-        noise=noise,
-        path=path,
-        initial=np.ones(mesh.n_vertices),
-    )
-    coarse, fine = run_nested_pair(cfg_c, cfg_f)
-    assert coarse.states.shape[0] == 5
-    assert fine.states.shape[0] == 17
-    # states at shared times differ (different step sizes) but drive from
-    # the same Brownian data; check the coarse grid is a subset
-    assert np.all(np.isin(coarse.grid.points, fine.grid.points))
-
-
-def test_nested_pair_rejects_non_nested_grids():
-    mesh = generate_unit_square(2)
-    ops = assemble(mesh)
-    noise = make_noise_coefficient(np.zeros((mesh.n_simplices, 1)))
-    path = sample_path(1, 1.0, 12, 1)
-    mk = lambda m: SchemeConfig(
-        ops=ops,
-        params=GrowthParams(2.0),
-        grid=uniform_time_grid(m, 1.0),
-        noise=noise,
-        path=path,
-        initial=np.zeros(mesh.n_vertices),
-    )
-    with pytest.raises(ValueError):
-        run_nested_pair(mk(4), mk(6))
-
-
-def test_nested_pair_rejects_distinct_paths():
-    cfg = heat_config(n=2, n_steps=4, seed=1)
-    other = SchemeConfig(
-        ops=cfg.ops,
-        params=cfg.params,
-        grid=cfg.grid,
-        noise=cfg.noise,
-        path=sample_path(2, 1.0, 4, 1),
-        initial=cfg.initial,
-    )
-    with pytest.raises(ValueError):
-        run_nested_pair(cfg, other)
 
 
 def test_refinement_error_decreases_with_tau():
