@@ -9,159 +9,4 @@ path and estimates the convergence rate with a finite-reference bias
 correction.
 """
 
-from .analysis import (
-    CorrectionError,
-    MonteCarloTable,
-    PathError,
-    RateFit,
-    bias,
-    corrected_rate,
-    fit_rate,
-    monte_carlo_estimate,
-    path_error,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    echo_config,
-    parse_config,
-    parse_number,
-    regression_taus,
-    validate_config,
-)
-from .constitutive import (
-    GrowthParams,
-    monotonicity_pairing,
-    quasi_distance_sq,
-    tensor_f,
-    tensor_f_rows,
-    tensor_s,
-    tensor_s_rows,
-)
-from .experiment import read_results_csv, run_experiment, summarize_table
-from .fem import (
-    FemOperators,
-    assemble,
-    broken_embed,
-    gradient_per_simplex,
-    l2_error_sq,
-    nodal_interpolate,
-    quasinorm_error_sq,
-)
-from .mesh import (
-    Mesh,
-    MeshError,
-    dump_mesh,
-    generate_unit_square,
-    load_mesh,
-    make_mesh,
-    mesh_size,
-    nondegeneracy,
-)
-from .psolver import (
-    ConvergenceError,
-    SingularityError,
-    SolveReport,
-    StepProblem,
-    gradient,
-    kkt_residual,
-    objective,
-    solve_step,
-)
-from .stepper import (
-    SchemeConfig,
-    StepFailure,
-    Trajectory,
-    grid_path_indices,
-    run_trajectory,
-)
-from .stochastics import (
-    NoiseCoefficient,
-    NoisePath,
-    TimeGrid,
-    dump_path,
-    increment,
-    load_path_increments,
-    make_noise_coefficient,
-    mix_seed,
-    noise_from_function,
-    noise_load,
-    random_time_grid,
-    sample_path,
-    standard_normals,
-    uniform_time_grid,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CorrectionError",
-    "MonteCarloTable",
-    "PathError",
-    "RateFit",
-    "bias",
-    "corrected_rate",
-    "fit_rate",
-    "monte_carlo_estimate",
-    "path_error",
-    "ConfigError",
-    "ExperimentConfig",
-    "echo_config",
-    "parse_config",
-    "parse_number",
-    "regression_taus",
-    "validate_config",
-    "GrowthParams",
-    "monotonicity_pairing",
-    "quasi_distance_sq",
-    "tensor_f",
-    "tensor_f_rows",
-    "tensor_s",
-    "tensor_s_rows",
-    "read_results_csv",
-    "run_experiment",
-    "summarize_table",
-    "FemOperators",
-    "assemble",
-    "broken_embed",
-    "gradient_per_simplex",
-    "l2_error_sq",
-    "nodal_interpolate",
-    "quasinorm_error_sq",
-    "Mesh",
-    "MeshError",
-    "dump_mesh",
-    "generate_unit_square",
-    "load_mesh",
-    "make_mesh",
-    "mesh_size",
-    "nondegeneracy",
-    "ConvergenceError",
-    "SingularityError",
-    "SolveReport",
-    "StepProblem",
-    "gradient",
-    "kkt_residual",
-    "objective",
-    "solve_step",
-    "SchemeConfig",
-    "StepFailure",
-    "Trajectory",
-    "grid_path_indices",
-    "run_trajectory",
-    "NoiseCoefficient",
-    "NoisePath",
-    "TimeGrid",
-    "dump_path",
-    "increment",
-    "load_path_increments",
-    "make_noise_coefficient",
-    "mix_seed",
-    "noise_from_function",
-    "noise_load",
-    "random_time_grid",
-    "sample_path",
-    "standard_normals",
-    "uniform_time_grid",
-    "__version__",
-]

@@ -40,6 +40,9 @@ def summarize_table(taus, totals, max_l2, quasi, fit_taus, tau_tilde) -> dict:
     Pure function of the per-replicate table plus the regression
     protocol (fit steps and effective reference step), so the summary
     can be regenerated from results.csv without rerunning the solver.
+    A mean curve with fewer than two positive values at the fit steps
+    has no rate: ``fit_error`` records why, and the rate entries are
+    None.
     """
     taus = [float(t) for t in taus]
     totals = np.asarray(totals, dtype=float)
@@ -48,7 +51,12 @@ def summarize_table(taus, totals, max_l2, quasi, fit_taus, tau_tilde) -> dict:
     cols = [taus.index(float(t)) for t in fit_taus]
     fit_taus = [taus[c] for c in cols]
     mean_curve = totals.mean(axis=0)
-    fit = fit_rate(fit_taus, mean_curve[cols])
+    try:
+        fit = fit_rate(fit_taus, mean_curve[cols])
+        fit_error = None
+    except ValueError as exc:
+        fit = None
+        fit_error = f"{type(exc).__name__}: {exc}"
     slopes = []
     for r in range(totals.shape[0]):
         try:
@@ -56,9 +64,10 @@ def summarize_table(taus, totals, max_l2, quasi, fit_taus, tau_tilde) -> dict:
         except ValueError:
             log.warning("replicate row %d skipped in slope aggregation", r)
     out = {
-        "a_tilde": fit.a,
-        "a_tilde_stderr": fit.stderr,
-        "log_c": fit.log_c,
+        "a_tilde": fit.a if fit else None,
+        "a_tilde_stderr": fit.stderr if fit else None,
+        "log_c": fit.log_c if fit else None,
+        "fit_error": fit_error,
         "replicate_slope_mean": float(np.mean(slopes)) if slopes else None,
         "replicate_slope_std": float(np.std(slopes, ddof=1)) if len(slopes) > 1 else 0.0,
         "n_replicates_ok": int(totals.shape[0]),
@@ -70,15 +79,12 @@ def summarize_table(taus, totals, max_l2, quasi, fit_taus, tau_tilde) -> dict:
         "E_maxL2_mean": [float(v) for v in max_l2.mean(axis=0)],
         "E_quasi_mean": [float(v) for v in quasi.mean(axis=0)],
     }
-    try:
-        a_corr, alpha = corrected_rate(fit.a, fit_taus, float(tau_tilde))
-        out["a_corrected"] = a_corr
-        out["alpha"] = alpha
-        out["correction_error"] = None
-    except (CorrectionError, ValueError) as exc:
-        out["a_corrected"] = None
-        out["alpha"] = None
-        out["correction_error"] = f"{type(exc).__name__}: {exc}"
+    out["a_corrected"] = out["alpha"] = out["correction_error"] = None
+    if fit:
+        try:
+            out["a_corrected"], out["alpha"] = corrected_rate(fit.a, fit_taus, float(tau_tilde))
+        except (CorrectionError, ValueError) as exc:
+            out["correction_error"] = f"{type(exc).__name__}: {exc}"
     return out
 
 
@@ -162,7 +168,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None, out_dir: s
                 sort_keys=True,
             )
         )
-        if table.failures or summary["correction_error"] is not None:
+        if table.failures or summary["fit_error"] is not None or summary["correction_error"] is not None:
             dirty = True
 
     (out / "results.csv").write_bytes(_csv_rows(tables).encode("utf-8"))

@@ -33,24 +33,21 @@ factored and solved by one banded Cholesky call (LAPACK dpbsv); no
 ordering or symbolic analysis runs per iteration.
 
 For p < 2 the energy is not twice differentiable where a gradient
-vanishes, so the solve passes through a decreasing sequence of
-smoothing parameters eps (the density is evaluated at
-sqrt(eps**2 + g**2)), warm-starting each level and stopping at the
-floor eps = 1e-6, where the final gradient norm is measured and
-reported.  For p >= 2 no smoothing is needed and the schedule
-collapses to eps = 0, where the Newton matrix is the Hessian.  On the
-smoothed levels it is the primal-dual matrix of Chan, Golub and Mulet
-(SIAM J. Sci. Comput. 20, 1999): a dual flux sigma per simplex, which
-starts as the primal flux S(g) and is carried across the levels of one
-solve, replaces the primal tensor in the Hessian's rank-one term.
+vanishes, so the solve runs at one smoothing parameter eps (the density
+is evaluated at sqrt(eps**2 + g**2)): the law's ``eps_reg`` when it is
+positive, else 1e-6.  There the Newton matrix is the primal-dual one of
+Chan, Golub and Mulet (SIAM J. Sci. Comput. 20, 1999): a dual flux
+sigma per simplex, which starts as the primal flux S(g) of the start
+point, replaces the primal tensor in the Hessian's rank-one term.
 After each accepted step sigma takes the linearised update of the flux
 and is projected into the ball |sigma| <= (kappa + n)**(p-2) n of the
 new point (n the smoothed norm), which keeps the matrix positive
-definite.  Near the flat zones of p < 2, where the primal Hessian
-changes fastest, this halves the Newton iterations at p = 1.1; at
-p = 1.5 it saves a tenth to a fifth of them.  The line search, gradient
-and stopping rule are those of primal Newton, so the minimizer is the
-same.
+definite.  The method is robust in eps, even near the flat zones of
+p < 2 where the primal Hessian changes fastest, so no continuation
+through larger smoothing parameters is needed.  For p >= 2 no
+smoothing is needed either: the solve runs at eps = 0, where the Newton
+matrix is the Hessian.  The line search, gradient and stopping rule
+are those of primal Newton, so the minimizer is the same.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from scipy.linalg.lapack import dpbsv
 from .constitutive import GrowthParams, tensor_s_rows
 from .fem import _LOCAL_MASS, FemOperators, InteriorPattern
 
-EPS_SCHEDULE = (1e-2, 1e-4, 1e-6)
+EPS_FINAL = 1e-6
 ARMIJO_C1 = 1e-4
 HESSIAN_SHIFT = 1e-12
 DEFAULT_TOL = 1e-9
@@ -154,7 +151,8 @@ class _Point:
     values of u on the three nodes of each simplex, ``mass_local`` the
     per-simplex parts of P u, (g1, g2) the gradient components and
     ``norms`` the smoothed norms (one column euclidean, two
-    componentwise).
+    componentwise).  ``size`` is |1/2 u' P u| + tau |sum_j |S_j| phi| +
+    |f' Pt u|, the magnitude of J's terms, which ``objective`` sets.
     """
 
     u: np.ndarray
@@ -165,6 +163,7 @@ class _Point:
     g1: np.ndarray
     g2: np.ndarray
     norms: np.ndarray
+    size: float = float("nan")
 
 
 def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
@@ -223,9 +222,11 @@ def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> fl
     point = _point(prob, u_interior, eps)
     p, kappa = prob.params.p, prob.params.kappa
     with np.errstate(over="ignore"):
-        energy = float((prob.ops.areas @ _energy_density(point.norms, p, kappa)).sum())
+        energy = prob.tau_m * float((prob.ops.areas @ _energy_density(point.norms, p, kappa)).sum())
         quad = 0.5 * float(np.vdot(point.mass_local, point.local))
-        return quad + prob.tau_m * energy - float(prob.load @ point.u_full)
+        linear = float(prob.load @ point.u_full)
+        object.__setattr__(point, "size", abs(quad) + abs(energy) + abs(linear))
+        return quad + energy - linear
 
 
 def _raise_if_singular(norms: np.ndarray, p: float, eps: float) -> None:
@@ -409,26 +410,24 @@ def _dual_step(prob: StepProblem, dual: _Dual, new: _Point) -> _Dual:
     return _dual(prob, new, (sigma1, sigma2))
 
 
-def _minimize_level(prob, u, eps, target, max_iter, trace, dual):
-    """Damped Newton at a fixed smoothing level. Returns (u, iterations, dual).
+def _minimize_level(prob, u, eps, target, max_iter, trace):
+    """Damped Newton at a fixed smoothing level. Returns (u, iterations).
 
-    At eps > 0 the Newton matrix is the primal-dual one.  Its flux is
-    the previous level's ``dual`` flux, or the primal flux at u when
-    there is none, projected into the ball of this level; it is updated
-    after each accepted step.  At eps = 0 the Newton matrix is the
-    primal Hessian and ``dual`` stays None.
+    At eps > 0 the Newton matrix is the primal-dual one, its flux the
+    primal flux at the start point, updated after each accepted step.
+    At eps = 0 it is the primal Hessian.
     """
     g = gradient(prob, u, eps)
     f = objective(prob, u, eps)
     trace.append(f)
-    if eps > 0.0:
-        point = _point(prob, u, eps)
-        dual = _dual(prob, point) if dual is None else _dual(prob, point, (dual.sigma1, dual.sigma2))
+    point = _point(prob, u, eps)
+    size = point.size
+    dual = _dual(prob, point) if eps > 0.0 else None
     it = 0
     while True:
         gn = float(np.linalg.norm(g))
         if gn <= target:
-            return u, it, dual
+            return u, it
         if it >= max_iter:
             exc = ConvergenceError(f"iteration cap {max_iter} exceeded at eps={eps:g} (|grad|={gn:.3e})")
             exc.iterations_done = it
@@ -437,11 +436,11 @@ def _minimize_level(prob, u, eps, target, max_iter, trace, dual):
         h = _hessian(prob, u, eps) if dual is None else _dual_hessian(prob, dual)
         d = _newton_direction(h, g, prob.ops.pattern)
         slope = float(g @ d)
-        if abs(slope) * 0.5 < 1e-15 * (1.0 + abs(f)):
+        if abs(slope) * 0.5 < 1e-15 * size:
             # Newton's own predicted decrease is below the float
-            # resolution of J: the minimum is resolved to machine
+            # resolution of J's terms: the minimum is resolved to machine
             # precision and further line searches only sample roundoff.
-            return u, it, dual
+            return u, it
         alpha = 1.0
         while True:
             trial = u + alpha * d
@@ -454,21 +453,13 @@ def _minimize_level(prob, u, eps, target, max_iter, trace, dual):
                 exc.iterations_done = it
                 exc.grad_norm = gn
                 raise exc
+        point = _point(prob, trial, eps)
         if dual is not None:
-            dual = _dual_step(prob, dual, _point(prob, trial, eps))
-        u = trial
-        f = ft
+            dual = _dual_step(prob, dual, point)
+        u, f, size = trial, ft, point.size
         trace.append(f)
         it += 1
         g = gradient(prob, u, eps)
-
-
-def _schedule(params: GrowthParams) -> list[float]:
-    if params.p >= 2.0:
-        return [0.0]
-    if params.eps_reg > 0.0:
-        return [e for e in EPS_SCHEDULE if e > params.eps_reg] + [params.eps_reg]
-    return list(EPS_SCHEDULE)
 
 
 def _presolve(prob: StepProblem) -> np.ndarray:
@@ -488,54 +479,46 @@ def solve_step(
 ) -> tuple[np.ndarray, SolveReport]:
     """Minimize the step objective from a warm start.
 
-    Stops when the gradient norm at the final smoothing level drops
-    below ``tol * (1 + |grad at warm_start|)``, or earlier when the
-    predicted Newton decrease falls below the float resolution of the
-    objective (the minimizer is then resolved to machine precision and
-    no representable descent remains).  Returns the interior
-    coefficient vector and a SolveReport; raises ConvergenceError (with
-    the report attached) if an iteration cap is exceeded.
+    Stops when the gradient norm at the smoothing level drops below
+    ``tol * (1 + |grad at warm_start|)``, or earlier when the predicted
+    Newton decrease falls below the float resolution of the objective's
+    terms (the minimizer is then resolved to machine precision and no
+    representable descent remains).  Returns the interior coefficient
+    vector and a SolveReport; raises ConvergenceError (with the report
+    attached) if an iteration cap is exceeded.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     warm_start = _check_interior(prob, warm_start)
-    levels = _schedule(prob.params)
+    # p >= 2 needs no smoothing; p < 2 takes the law's eps_reg, if any
+    params = prob.params
+    eps = 0.0 if params.p >= 2.0 else (params.eps_reg if params.eps_reg > 0.0 else EPS_FINAL)
 
     # A p=2 surrogate solve is a far better starting point than a cold
     # warm start (large steps otherwise send Newton on a slow trek
     # through the boundary layer); keep whichever candidate scores the
-    # lower objective at the first smoothing level.
+    # lower objective.
     u = warm_start.astype(float).copy()
     pre = _presolve(prob)
-    if objective(prob, pre, levels[0]) < objective(prob, u, levels[0]):
+    if objective(prob, pre, eps) < objective(prob, u, eps):
         u = pre
     trace: list[float] = []
-    levels_used: list[float] = []
-    total_iterations = 0
-    dual = None
-    for k, eps in enumerate(levels):
-        last = k == len(levels) - 1
-        anchor = warm_start if last else u
-        try:
-            target = tol * (1.0 + float(np.linalg.norm(gradient(prob, anchor, eps))))
-            u, it, dual = _minimize_level(prob, u, eps, target, max_iter, trace, dual)
-        except ConvergenceError as exc:
-            exc.report = SolveReport(
-                iterations=total_iterations + getattr(exc, "iterations_done", 0),
-                final_grad_norm=getattr(exc, "grad_norm", float("nan")),
-                continuation_levels=levels_used + [eps],
-                objective_trace=trace,
-            )
-            raise
-        levels_used.append(eps)
-        total_iterations += it
+    try:
+        target = tol * (1.0 + float(np.linalg.norm(gradient(prob, warm_start, eps))))
+        u, iterations = _minimize_level(prob, u, eps, target, max_iter, trace)
+    except ConvergenceError as exc:
+        exc.report = SolveReport(
+            iterations=getattr(exc, "iterations_done", 0),
+            final_grad_norm=getattr(exc, "grad_norm", float("nan")),
+            continuation_levels=[eps],
+            objective_trace=trace,
+        )
+        raise
 
-    final_eps = levels_used[-1]
-    final_norm = float(np.linalg.norm(gradient(prob, u, final_eps)))
     report = SolveReport(
-        iterations=total_iterations,
-        final_grad_norm=final_norm,
-        continuation_levels=levels_used,
+        iterations=iterations,
+        final_grad_norm=float(np.linalg.norm(gradient(prob, u, eps))),
+        continuation_levels=[eps],
         objective_trace=trace,
     )
     return u, report

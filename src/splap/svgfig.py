@@ -26,9 +26,10 @@ class _LogAxes:
 
     def __init__(self, xs, ys):
         lx = [math.log10(v) for v in xs if v > 0.0]
-        ly = [math.log10(v) for v in ys if v > 0.0]
-        if not lx or not ly:
-            raise ValueError("log-log figure needs positive data")
+        # without a positive value the axes span the decade around 1
+        ly = [math.log10(v) for v in ys if v > 0.0] or [0.0]
+        if not lx:
+            raise ValueError("log-log figure needs positive steps")
         self.xmin, self.xmax = min(lx), max(lx)
         self.ymin, self.ymax = min(ly), max(ly)
         if self.xmax - self.xmin < 1e-12:
@@ -81,7 +82,7 @@ def render_loglog(table, summary: dict) -> str:
     upper = [m + s for m, s in zip(mean, std)]
     lower = [m - s for m, s in zip(mean, std)]
     flat = [v for row in table.totals for v in row]
-    ax = _LogAxes(taus, [v for v in flat + mean + upper if v > 0.0] or mean)
+    ax = _LogAxes(taus, flat + mean + upper)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -108,15 +109,16 @@ def render_loglog(table, summary: dict) -> str:
     parts.append(_polyline(ax, taus, mean, 'stroke="#cc0000" stroke-width="2"'))
     parts.append(_markers(ax, taus, mean, "#cc0000"))
 
-    fit_taus = summary["taus_fit"]
-    log_c = summary["log_c"]
     a = summary["a_tilde"]
-    stderr = summary["a_tilde_stderr"]
-    line = [math.exp(log_c + a * math.log(t)) for t in fit_taus]
-    parts.append(_polyline(ax, fit_taus, line, 'stroke="#0044cc" stroke-width="1.5"'))
+    if a is None:
+        note = "fit: none (fewer than two positive mean errors)"
+    else:
+        log_c = summary["log_c"]
+        line = [math.exp(log_c + a * math.log(t)) for t in summary["taus_fit"]]
+        parts.append(_polyline(ax, summary["taus_fit"], line, 'stroke="#0044cc" stroke-width="1.5"'))
+        note = f"fit: c*tau^({a:.3f} +/- {summary['a_tilde_stderr']:.3f})"
 
     title = f"p = {table.p:g}, E(tau) over {summary['n_replicates_ok']} paths"
-    note = f"fit: c*tau^({a:.3f} +/- {stderr:.3f})"
     if summary.get("a_corrected") is not None:
         note += f", corrected a = {summary['a_corrected']:.3f}, alpha = {summary['alpha']:.3f}"
     parts.append(f'<text x="{_fmt(BOX[0])}" y="16" font-size="14">{title}</text>')

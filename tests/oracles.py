@@ -5,8 +5,9 @@ its gradient, Hessian and KKT residual as the solver computed them
 before the per-point state: each call prolongs u and runs the CSR
 derivative and mass products itself, and the Hessian sums dense
 per-simplex 3 x 3 blocks into the band.  The step solve as it was
-before the primal-dual Newton matrix: every level, smoothed or not,
-runs damped Newton on the primal Hessian.  Last, the errors of one
+before the primal-dual Newton matrix: for p < 2 the smoothing
+continuation 1e-2, 1e-4, 1e-6, and on every level, smoothed or not,
+damped Newton on the primal Hessian.  Last, the errors of one
 Monte-Carlo replicate as the harness computed them before the reference
 was shared: the reference marches the whole path lattice and every
 ladder entry runs its own trajectory.
@@ -28,7 +29,6 @@ from splap.psolver import (
     _hessian,
     _newton_direction,
     _presolve,
-    _schedule,
 )
 from splap.psolver import gradient as step_gradient
 from splap.psolver import objective as step_objective
@@ -168,6 +168,19 @@ def kkt_residual(prob, u_interior, eps=0.0):
     return float(np.linalg.norm(r[prob.ops.interior]))
 
 
+# the continuation of the primal solve, kept here so the oracle does not
+# follow the solver's own choice of smoothing level
+PRIMAL_EPS_SCHEDULE = (1e-2, 1e-4, 1e-6)
+
+
+def _primal_schedule(params):
+    if params.p >= 2.0:
+        return [0.0]
+    if params.eps_reg > 0.0:
+        return [e for e in PRIMAL_EPS_SCHEDULE if e > params.eps_reg] + [params.eps_reg]
+    return list(PRIMAL_EPS_SCHEDULE)
+
+
 def _primal_level(prob, u, eps, target, max_iter):
     """Damped Newton on the primal Hessian at one smoothing level: (u, iterations)."""
     g = step_gradient(prob, u, eps)
@@ -197,7 +210,7 @@ def _primal_level(prob, u, eps, target, max_iter):
 
 def solve_step_primal(prob, warm_start, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """solve_step with primal Newton on every level: (u, total iterations)."""
-    levels = _schedule(prob.params)
+    levels = _primal_schedule(prob.params)
     u = np.array(warm_start, dtype=float)
     pre = _presolve(prob)
     if step_objective(prob, pre, levels[0]) < step_objective(prob, u, levels[0]):

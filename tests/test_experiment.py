@@ -61,7 +61,7 @@ def test_smoke_run_emits_all_artifacts(smoke_run):
     assert (out / "fig_p2.5.svg").is_file()
     summary = json.loads((out / "summary.json").read_text())
     clean = all(
-        block["correction_error"] is None and not block["failures"]
+        block["fit_error"] is None and block["correction_error"] is None and not block["failures"]
         for block in summary["per_p"].values()
     )
     assert status == (0 if clean else 1)
@@ -149,6 +149,29 @@ def test_zero_noise_std_columns(tmp_path):
     summary = json.loads((tmp_path / "z" / "summary.json").read_text())
     stds = summary["per_p"]["2.5"]["E_std"]
     assert all(s == 0.0 for s in stds)
+
+
+def test_unfittable_mean_curve_keeps_the_run(tmp_path):
+    # multiplicative noise from u0 = 0 keeps u = 0: every error is zero, so
+    # no slope can be fitted; the run still writes every artifact, records
+    # why in the exponent's block, and exits 1
+    cfg = parse_config("p_list = 2.5\nmesh_n = 4\nnoise_mode = multiplicative\nu0 = 0\nn_r = 2\n")
+    out = tmp_path / "zero"
+    assert run_experiment(cfg, workers=1, out_dir=str(out)) == 1
+    for name in ARTIFACTS + ("fig_p2.5.svg",):
+        assert (out / name).is_file(), name
+    block = json.loads((out / "summary.json").read_text())["per_p"]["2.5"]
+    assert block["fit_error"] == "ValueError: fit_rate needs at least two positive data points"
+    assert block["a_tilde"] is None and block["log_c"] is None and block["alpha"] is None
+    assert block["correction_error"] is None and block["failures"] == []
+    assert all(v == 0.0 for v in block["E_mean"])
+    data = read_results_csv((out / "results.csv").read_text())[2.5]
+    redo = summarize_table(
+        data["taus"], data["totals"], data["max_l2"], data["quasi"], regression_taus(cfg), cfg.tau_ref
+    )
+    assert redo == {k: v for k, v in block.items() if k != "failures"}
+    assert json.loads((out / "run.log").read_text().strip().split("\n")[-1])["exit_status"] == 1
+    ET.fromstring((out / "fig_p2.5.svg").read_text())
 
 
 def test_summary_protocol_block(smoke_run):

@@ -18,8 +18,8 @@ from splap.constitutive import GrowthParams, tensor_s_rows
 from splap.fem import assemble, gradient_per_simplex
 from splap.mesh import generate_unit_square
 from splap.psolver import (
+    EPS_FINAL,
     ConvergenceError,
-    EPS_SCHEDULE,
     HESSIAN_SHIFT,
     SingularityError,
     StepProblem,
@@ -283,10 +283,17 @@ def test_solve_report_objective_trace_non_increasing():
 
 
 def test_solve_step_continuation_schedule():
+    # one smoothing level per solve: 1e-6 for p < 2, the law's own eps_reg
+    # when it sets one, and the unsmoothed energy for p >= 2
     rng = np.random.default_rng(4)
     prob = random_problem(rng, n=3, p=1.5, tau=0.1)
     _, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=1e-9)
-    assert report.continuation_levels == list(EPS_SCHEDULE)
+    assert EPS_FINAL == 1e-6
+    assert report.continuation_levels == [1e-6]
+    reg = dataclasses.replace(prob, params=GrowthParams(1.5, eps_reg=3e-4))
+    u_reg, report_reg = solve_step(reg, np.zeros(reg.ops.n_interior), tol=1e-9)
+    assert report_reg.continuation_levels == [3e-4]
+    assert np.isclose(report_reg.final_grad_norm, kkt_residual(reg, u_reg, 3e-4), rtol=1e-12, atol=0.0)
     prob2 = random_problem(rng, n=3, p=2.5, tau=0.1)
     _, report2 = solve_step(prob2, np.zeros(prob2.ops.n_interior), tol=1e-9)
     assert report2.continuation_levels == [0.0]
@@ -312,7 +319,7 @@ def test_kkt_residual_at_solution():
         rng = np.random.default_rng(6)
         for p, tol in ((1.1, 1e-5), (1.5, 1e-6), (2.0, 1e-9), (2.5, 1e-9)):
             prob = random_problem(rng, n=4, p=p, tau=0.2, formulation=formulation)
-            eps_final = EPS_SCHEDULE[-1] if p < 2 else 0.0
+            eps_final = EPS_FINAL if p < 2 else 0.0
             u, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=tol)
             scale = 1.0 + np.linalg.norm(gradient(prob, np.zeros(prob.ops.n_interior), eps=eps_final))
             assert kkt_residual(prob, u, eps=eps_final) <= 10.0 * tol * scale
@@ -331,7 +338,7 @@ def test_kkt_residual_float_floor_for_degenerate_p():
     # objective instead of the requested tolerance
     rng = np.random.default_rng(6)
     prob = random_problem(rng, n=4, p=1.1, tau=0.2)
-    eps_final = EPS_SCHEDULE[-1]
+    eps_final = EPS_FINAL
     u, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=1e-9)
     res = kkt_residual(prob, u, eps=eps_final)
     assert np.isclose(res, report.final_grad_norm, rtol=1e-12)
@@ -618,8 +625,11 @@ def smooth_forcing(ops, rng):
     """A broken forcing of order one: a smooth random mode plus a little noise.
 
     Under white noise alone a step with p = 1.1 and tau = 0.5 flattens
-    u to about 1e-8, where the float floor of the stopping rule (an
-    absolute 1e-15 while |J| << 1) leaves only a few digits of u.
+    u to about 1e-8 and J to about 1e-7; the float floor of the stopping
+    rule scales with J's terms, so such a step still reaches its target
+    (``test_float_floor_scales_with_the_objective``), but the oracle's
+    primal solve, whose floor is an absolute 1e-15 while |J| << 1, keeps
+    only a few digits of u.
     """
     x, y = ops.mesh.vertices.T
     k = rng.uniform(0.5, 2.0, size=2)
@@ -654,7 +664,7 @@ PRIMAL_DUAL_CASES = [
 def test_primal_dual_solve_matches_primal_oracle(mesh_name, p, kappa, formulation, tau):
     prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, tau, seed=int(100 * p + 10 * kappa + 1000 * tau))
     warm = rng.standard_normal(prob.ops.n_interior)
-    eps = EPS_SCHEDULE[-1]
+    eps = EPS_FINAL
     # above the float floor of the stopping rule the target is reached
     tol = 1e-6
     u, _ = solve_step(prob, warm, tol=tol)
@@ -671,6 +681,32 @@ def test_primal_dual_solve_matches_primal_oracle(mesh_name, p, kappa, formulatio
     assert gap <= (kkt_residual(prob, u, eps) + kkt_residual(prob, u_primal, eps)) / modulus
 
 
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+@pytest.mark.parametrize("seed", range(4))
+def test_float_floor_scales_with_the_objective(formulation, seed):
+    # white-noise forcing flattens a p = 1.1, tau = 0.5 step to u ~ 1e-8
+    # and J ~ 1e-7; a floor of 1e-15 (1 + |J|) would stop Newton at some
+    # 30 to 130 times the target, a floor scaled to J's terms reaches it
+    ops = assemble(generate_unit_square(8))
+    rng = np.random.default_rng(seed)
+    prob = StepProblem(
+        ops=ops,
+        params=GrowthParams(1.1),
+        tau_m=0.5,
+        forcing=0.1 * rng.standard_normal(3 * ops.n_simplices),
+        formulation=formulation,
+    )
+    warm = np.zeros(ops.n_interior)
+    u, report = solve_step(prob, warm)
+    target = splap.psolver.DEFAULT_TOL * (1.0 + np.linalg.norm(gradient(prob, warm, EPS_FINAL)))
+    assert kkt_residual(prob, u, EPS_FINAL) <= target
+    assert report.iterations > 0
+
+
+# the smoothing levels the dual matrix is checked at: the solver's
+# default and larger ones that a law's eps_reg may choose
+SMOOTHING_EPS = (1e-2, 1e-4, EPS_FINAL)
+
 DUAL_MATRIX_CASES = [
     (p, kappa, formulation)
     for p, kappa in ((1.1, 0.0), (1.2, 0.3), (1.5, 0.0), (1.5, 0.3))
@@ -682,7 +718,7 @@ DUAL_MATRIX_CASES = [
 @pytest.mark.parametrize("p, kappa, formulation", DUAL_MATRIX_CASES)
 def test_dual_matrix_at_primal_flux_is_the_hessian(mesh_name, p, kappa, formulation):
     prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, 0.3, seed=int(100 * p + 10 * kappa))
-    for eps in EPS_SCHEDULE:
+    for eps in SMOOTHING_EPS:
         u = rng.standard_normal(prob.ops.n_interior)
         point = _point(prob, u, eps)
         hessian = _hessian(prob, u, eps)
@@ -721,7 +757,7 @@ def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa, for
     # positive semidefinite and the band factors
     prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, 0.3, seed=int(100 * p + 10 * kappa) + 1)
     pattern = prob.ops.pattern
-    for eps in EPS_SCHEDULE:
+    for eps in SMOOTHING_EPS:
         u = rng.standard_normal(prob.ops.n_interior)
         point = _point(prob, u, eps)
         # lengths from zero to the radius, a third on the boundary
@@ -759,7 +795,7 @@ def test_flux_projection_and_update_at_zero(formulation):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise"):
-            for eps in EPS_SCHEDULE:
+            for eps in SMOOTHING_EPS:
                 point = _point(prob, zero, eps)
                 for dual in (_dual(prob, point, flux), _dual_step(prob, _dual(prob, point), point)):
                     assert np.array_equal(dual.sigma1, flux[0]) and np.array_equal(dual.sigma2, flux[1])
@@ -771,9 +807,9 @@ def test_flux_projection_and_update_at_zero(formulation):
 
 @pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
 def test_dual_flux_stays_in_the_ball_of_each_level(formulation, monkeypatch):
-    # every Newton matrix of a smoothed level sees a flux inside the ball
-    # of its own point and level; the first one of a solve sees the
-    # primal flux of its start point
+    # every Newton matrix of a smoothed solve sees a flux inside the ball
+    # of its own point at the one level 1e-6; the first one sees the
+    # primal flux of the start point
     seen = []
     dual_hessian = splap.psolver._dual_hessian
 
@@ -786,18 +822,16 @@ def test_dual_flux_stays_in_the_ball_of_each_level(formulation, monkeypatch):
         return dual_hessian(prob, dual)
 
     monkeypatch.setattr(splap.psolver, "_dual_hessian", checked)
-    levels = set()
     for mesh_name in ("structured", "jittered"):
         for p, tau in ((1.1, 0.5), (1.2, 0.02), (1.5, 0.1)):
             prob, rng = smoothed_problem(mesh_name, p, 0.0, formulation, tau, seed=int(100 * p))
             seen.clear()
             _, report = solve_step(prob, rng.standard_normal(prob.ops.n_interior))
             assert len(seen) >= report.iterations > 0
-            eps, flux, primal = seen[0]
-            assert eps == EPS_SCHEDULE[0]
+            assert report.continuation_levels == [EPS_FINAL]
+            assert {eps for eps, _, _ in seen} == {EPS_FINAL}
+            _, flux, primal = seen[0]
             np.testing.assert_array_equal(flux, primal)
-            levels.update(e for e, _, _ in seen)
-    assert levels == set(EPS_SCHEDULE)
 
 
 @pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
