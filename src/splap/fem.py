@@ -33,11 +33,22 @@ basis_grad
 pattern
     An InteriorPattern: the reverse Cuthill-McKee order of the interior
     unknowns, fixed per mesh, in which every interior Newton system is a
-    LAPACK lower band of half-width kd; for each stored band entry its
-    simplex and the products of the two local basis gradients it
-    couples; and R P R' and R A R' (A the stiffness) as band data
-    vectors.  A Newton matrix is then a band data vector, assembled from
-    per-simplex weights by one bincount, without sparse products.
+    LAPACK lower band of half-width kd; R P R' and R A R' (A the
+    stiffness) as band data vectors; and the fixed operator that maps
+    stacked per-simplex weights to the band data of their weighted
+    stiffness.  A Newton matrix is then a band data vector, the mass
+    plus one sparse product.
+point_op
+    [D1 R'; D2 R'; R P R'], (2*ns + n_interior) x n_interior: one
+    product with the interior coefficients gives both gradient
+    components on every simplex and the interior part of P u.
+flux_op
+    R [D1' D2'] diag(areas, areas), n_interior x 2*ns: one product with
+    a stacked per-simplex flux (s1, s2) gives the interior part of
+    sum_i Di' diag(areas) s_i.
+load_op
+    Pt' as a CSR matrix, nv x 3*ns: one product maps a broken forcing
+    to its load.
 
 The assembled stiffness sum_i Di' diag(areas) Di is exposed for use as
 an independent reference in the linear (p = 2) regime.
@@ -69,33 +80,26 @@ class InteriorPattern:
     so ``band`` reshapes it to the Fortran-ordered (kd + 1, n_i) array
     of LAPACK's lower band storage without a copy.
 
-    Entry k of the flattened (ns, 3, 3) element blocks couples local
-    nodes a, b of simplex j (k = 9j + 3a + b).  ``keep`` lists the
-    entries whose vertices are both interior and whose row is not above
-    their column in RCM numbering, so each stored entry is kept once;
-    ``slot`` is the band data index each of them adds into and
-    ``simplex`` its simplex j.  With (gx, gy) the local basis gradients,
-    ``c11``, ``c12`` and ``c22`` hold gx_a gx_b, gx_a gy_b + gy_a gx_b and
-    gy_a gy_b of each kept entry.  ``mass`` and ``stiffness`` are R P R'
-    and R A R' as band data vectors.
+    ``products`` is the (band entries x 3*ns) operator of the basis
+    gradient products, stored by column because most band entries of a
+    structured mesh stay empty: with (gx, gy) the local basis gradients of
+    simplex j and a, b two of its local nodes whose vertices are both
+    interior, it holds gx_a gx_b in column j, gx_a gy_b + gy_a gx_b in
+    column ns + j and gy_a gy_b in column 2*ns + j of the row of the
+    band entry that (a, b) adds into, each pair counted once in the
+    lower triangle.  ``mass`` and ``stiffness`` are R P R' and R A R'
+    as band data vectors.
     """
 
     perm: np.ndarray
     kd: int
-    keep: np.ndarray
-    slot: np.ndarray
-    simplex: np.ndarray
-    c11: np.ndarray
-    c12: np.ndarray
-    c22: np.ndarray
+    products: sp.csc_matrix
     mass: np.ndarray
     stiffness: np.ndarray
 
     def weighted_stiffness(self, w11: np.ndarray, w12: np.ndarray, w22: np.ndarray) -> np.ndarray:
         """Band data of sum_j w11_j gx gx' + w12_j (gx gy' + gy gx') + w22_j gy gy', w per simplex."""
-        j = self.simplex
-        data = w11[j] * self.c11 + w12[j] * self.c12 + w22[j] * self.c22
-        return np.bincount(self.slot, weights=data, minlength=self.mass.shape[0])
+        return self.products @ np.concatenate((w11, w12, w22))
 
     def band(self, data: np.ndarray) -> np.ndarray:
         """The (kd + 1, n_i) F-contiguous lower band holding ``data``."""
@@ -106,6 +110,7 @@ def _interior_pattern(
     t: np.ndarray, interior: np.ndarray, nv: int, local_mass: np.ndarray, areas: np.ndarray, gx: np.ndarray, gy: np.ndarray
 ) -> InteriorPattern:
     ni = interior.shape[0]
+    ns = t.shape[0]
     local = np.full(nv, -1, dtype=np.int64)
     local[interior] = np.arange(ni)
     lt = local[t]
@@ -123,20 +128,22 @@ def _interior_pattern(
     offset = rows[lower] - cols[lower]
     kd = int(offset.max(initial=0))
     slot = cols[lower] * (kd + 1) + offset
+    # entry k of the flattened (ns, 3, 3) element blocks couples local
+    # nodes a, b of simplex j, k = 9j + 3a + b
     keep = inner[lower]
     j, a, b = keep // 9, keep // 3 % 3, keep % 3
     c11 = gx[j, a] * gx[j, b]
     c22 = gy[j, a] * gy[j, b]
+    c12 = gx[j, a] * gy[j, b] + gy[j, a] * gx[j, b]
     size = ni * (kd + 1)
+    products = sp.coo_matrix(
+        (np.concatenate((c11, c12, c22)), (np.tile(slot, 3), np.concatenate((j, ns + j, 2 * ns + j)))),
+        shape=(size, 3 * ns),
+    ).tocsc()
     return InteriorPattern(
         perm=perm,
         kd=kd,
-        keep=keep,
-        slot=slot,
-        simplex=j,
-        c11=c11,
-        c12=gx[j, a] * gy[j, b] + gy[j, a] * gx[j, b],
-        c22=c22,
+        products=_without_zeros(products),
         mass=np.bincount(slot, weights=local_mass[keep], minlength=size),
         stiffness=np.bincount(slot, weights=areas[j] * (c11 + c22), minlength=size),
     )
@@ -155,6 +162,9 @@ class FemOperators:
     interior: np.ndarray
     basis_grad: tuple[np.ndarray, np.ndarray]
     pattern: InteriorPattern
+    point_op: sp.csr_matrix
+    flux_op: sp.csr_matrix
+    load_op: sp.csr_matrix
 
     @property
     def n_vertices(self) -> int:
@@ -230,6 +240,7 @@ def assemble(mesh: Mesh) -> FemOperators:
     restriction = sp.coo_matrix(
         (np.ones(ni), (np.arange(ni), interior)), shape=(ni, nv)
     ).tocsr()
+    d_interior = sp.vstack([d1[:, interior], d2[:, interior]], format="csr")
 
     return FemOperators(
         mesh=mesh,
@@ -241,7 +252,16 @@ def assemble(mesh: Mesh) -> FemOperators:
         interior=interior,
         basis_grad=(gx, gy),
         pattern=_interior_pattern(t, interior, nv, broken_data, areas, gx, gy),
+        point_op=_without_zeros(sp.vstack([d_interior, mass[interior][:, interior]], format="csr")),
+        flux_op=_without_zeros((d_interior.T @ sp.diags(np.concatenate((areas, areas)))).tocsr()),
+        load_op=broken_mass.T.tocsr(),
     )
+
+
+def _without_zeros(op: sp.spmatrix) -> sp.spmatrix:
+    """``op`` without its explicitly stored zeros (a basis gradient may vanish)."""
+    op.eliminate_zeros()
+    return op
 
 
 def _check_conforming(ops: FemOperators, u: np.ndarray, name: str = "u") -> np.ndarray:

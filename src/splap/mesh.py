@@ -6,20 +6,10 @@ or degenerate triangle, every edge shared by at most two triangles, and
 no vertex sitting in the interior of another triangle's edge (hanging
 node).  Boundary vertices are exactly those lying on an edge that
 belongs to a single triangle.
-
-The text format is line oriented and round-trips exactly::
-
-    mesh v=<n_vertices> s=<n_simplices>
-    <x> <y>          one line per vertex
-    <i> <j> <k>      one line per triangle, 0-based vertex indices
-
-Floats are written with ``repr`` (shortest round-trip form), so
-``load_mesh(dump_mesh(m))`` reproduces ``m`` bit for bit.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,96 +155,3 @@ def generate_unit_square(n: int) -> Mesh:
     simplices[1::2] = upper
     return make_mesh(vertices, simplices)
 
-
-def nondegeneracy(mesh: Mesh) -> float:
-    """Max over simplices of diameter / inradius (shape-regularity)."""
-    v = mesh.vertices
-    t = mesh.simplices
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    l0 = np.linalg.norm(p1 - p0, axis=1)
-    l1 = np.linalg.norm(p2 - p1, axis=1)
-    l2 = np.linalg.norm(p0 - p2, axis=1)
-    diam = np.maximum(np.maximum(l0, l1), l2)
-    areas = _signed_areas(v, t)
-    if np.any(areas < DEGENERATE_AREA_FRACTION * float(np.abs(areas).mean())):
-        raise MeshError("degenerate simplex in nondegeneracy computation")
-    inradius = 2.0 * areas / (l0 + l1 + l2)
-    return float(np.max(diam / inradius))
-
-
-def mesh_size(mesh: Mesh) -> float:
-    """Largest simplex diameter h."""
-    v = mesh.vertices
-    t = mesh.simplices
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    l0 = np.linalg.norm(p1 - p0, axis=1)
-    l1 = np.linalg.norm(p2 - p1, axis=1)
-    l2 = np.linalg.norm(p0 - p2, axis=1)
-    return float(np.max(np.maximum(np.maximum(l0, l1), l2)))
-
-
-def _decode(source) -> str:
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source).decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
-def load_mesh(source) -> Mesh:
-    """Parse the text format from bytes, a string, or a readable stream."""
-    text = _decode(source)
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise MeshError("empty mesh file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "mesh":
-        raise MeshError(f"bad header line: {lines[0]!r}")
-    try:
-        kv = dict(part.split("=", 1) for part in head[1:])
-        nv = int(kv["v"])
-        ns = int(kv["s"])
-    except (ValueError, KeyError) as exc:
-        raise MeshError(f"bad header line: {lines[0]!r}") from exc
-    if nv < 1 or ns < 1:
-        raise MeshError(f"header declares v={nv} s={ns}")
-    if len(lines) != 1 + nv + ns:
-        raise MeshError(f"expected {1 + nv + ns} lines, found {len(lines)}")
-
-    vertices = np.empty((nv, 2), dtype=float)
-    for k in range(nv):
-        parts = lines[1 + k].split()
-        if len(parts) != 2:
-            raise MeshError(f"vertex line {k}: expected 2 fields, got {len(parts)}")
-        try:
-            vertices[k, 0] = float(parts[0])
-            vertices[k, 1] = float(parts[1])
-        except ValueError as exc:
-            raise MeshError(f"vertex line {k}: bad float") from exc
-
-    simplices = np.empty((ns, 3), dtype=np.int64)
-    for k in range(ns):
-        parts = lines[1 + nv + k].split()
-        if len(parts) != 3:
-            raise MeshError(f"simplex line {k}: expected 3 fields, got {len(parts)}")
-        try:
-            simplices[k] = [int(p) for p in parts]
-        except ValueError as exc:
-            raise MeshError(f"simplex line {k}: bad index") from exc
-
-    return make_mesh(vertices, simplices)
-
-
-def dump_mesh(mesh: Mesh) -> bytes:
-    """Serialize to the text format (UTF-8, LF line endings)."""
-    out = io.StringIO()
-    out.write(f"mesh v={mesh.n_vertices} s={mesh.n_simplices}\n")
-    for x, y in mesh.vertices:
-        out.write(f"{float(x)!r} {float(y)!r}\n")
-    for a, b, c in mesh.simplices:
-        out.write(f"{int(a)} {int(b)} {int(c)}\n")
-    return out.getvalue().encode("utf-8")

@@ -19,18 +19,22 @@ comparison purposes and is not the default.
 
 Solver: boundary unknowns are eliminated by zero extension and the
 reduced problem is solved by damped Newton with Armijo backtracking.
-The per-simplex state at a point (nodal values, gradient components,
-smoothed norms) is gathered once per (u, eps) and kept in a one-slot
-memo on the StepProblem, keyed on the value of u and on eps, so the
-accepted line-search trial's state serves the gradient and the Newton
-matrix.  Transposed products are one bincount over the simplex
-vertices; no sparse product runs per evaluation.  Every Newton matrix,
-the p = 2 presolve system and the mass-shifted retry are band data
-vectors of ``FemOperators.pattern`` (a reverse Cuthill-McKee order
-fixed per mesh): the interior mass plus tau times per-simplex weights
-summed into fixed slots.  Each is symmetric positive definite and is
-factored and solved by one banded Cholesky call (LAPACK dpbsv); no
-ordering or symbolic analysis runs per iteration.
+The state of a point is one product with the mesh's fixed interior
+operator ``FemOperators.point_op``, which gives both gradient
+components on every simplex and the interior part of P u; the smoothed
+norms and their power (kappa + n)**(p-2), from which the energy, the
+tensor, the Hessian and the dual flux all derive, are computed once.
+That state is kept in a one-slot memo on the StepProblem, keyed on the
+value of u and on eps, so the accepted line-search trial's state serves
+the gradient and the Newton matrix.  The residual is one more product,
+with ``FemOperators.flux_op``, formed once per point and kept with it.
+Every Newton matrix, the start-candidate system and the mass-shifted
+retry are band data vectors of ``FemOperators.pattern`` (a reverse
+Cuthill-McKee order fixed per mesh): the interior mass plus tau times
+one product of a fixed operator with the stacked per-simplex weights.
+Each is symmetric positive definite and is factored and solved by one
+banded Cholesky call (LAPACK dpbsv); no ordering or symbolic analysis
+runs per iteration.
 
 For p < 2 the energy is not twice differentiable where a gradient
 vanishes, so the solve runs at one smoothing parameter eps (the density
@@ -48,6 +52,14 @@ through larger smoothing parameters is needed.  For p >= 2 no
 smoothing is needed either: the solve runs at eps = 0, where the Newton
 matrix is the Hessian.  The line search, gradient and stopping rule
 are those of primal Newton, so the minimizer is the same.
+
+Newton starts from the better, by the objective, of the warm start and
+one linear candidate.  For p >= 2 that is the p = 2 surrogate step
+(P + tau A) u = load; for p < 2 it is one lagged-diffusivity (Kacanov)
+step from the warm start (Diening, Fornasier, Tomasi and Wank, Numer.
+Math. 2020), (P + tau A_s) u = load with A_s the stiffness weighted on
+each simplex by s = (kappa + |grad u_warm|_eps)**(p-2), each
+component's own s in the componentwise formulation.
 """
 
 from __future__ import annotations
@@ -57,8 +69,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpbsv
 
-from .constitutive import GrowthParams, tensor_s_rows
-from .fem import _LOCAL_MASS, FemOperators, InteriorPattern
+from .constitutive import GrowthParams
+from .fem import FemOperators, InteriorPattern
 
 EPS_FINAL = 1e-6
 ARMIJO_C1 = 1e-4
@@ -67,9 +79,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 
 _FORMULATIONS = ("euclidean", "componentwise")
-# x @ _ROW_SUM sums the rows of an (ns, 3) array, several times faster
-# than x.sum(axis=1) on so short an axis
-_ROW_SUM = np.ones(3)
 
 
 class SingularityError(ArithmeticError):
@@ -126,7 +135,9 @@ class StepProblem:
             raise ValueError("non-finite forcing")
         object.__setattr__(self, "forcing", forcing)
         # f enters the objective only through Pt' f.
-        object.__setattr__(self, "_load", self.ops.broken_mass.T @ forcing)
+        load = self.ops.load_op @ forcing
+        object.__setattr__(self, "_load", load)
+        object.__setattr__(self, "_load_interior", load[self.ops.interior])
         # the last _Point built, reused while (u, eps) stays the same
         object.__setattr__(self, "_last", None)
 
@@ -135,35 +146,37 @@ class StepProblem:
         return self._load
 
 
-def _energy_density(t: np.ndarray, p: float, kappa: float) -> np.ndarray:
-    """phi(t) with phi'(t) = (kappa + t)**(p-2) t and phi(0) = 0."""
-    if kappa == 0.0:
-        return t**p / p
-    kt = kappa + t
-    return (kt**p - kappa**p) / p - kappa * (kt ** (p - 1.0) - kappa ** (p - 1.0)) / (p - 1.0)
-
-
 @dataclass(frozen=True)
 class _Point:
     """State of the step objective at one (u, eps), shared by its evaluations.
 
-    ``u`` is a private copy of the interior coefficients, ``local`` the
-    values of u on the three nodes of each simplex, ``mass_local`` the
-    per-simplex parts of P u, (g1, g2) the gradient components and
-    ``norms`` the smoothed norms (one column euclidean, two
-    componentwise).  ``size`` is |1/2 u' P u| + tau |sum_j |S_j| phi| +
-    |f' Pt u|, the magnitude of J's terms, which ``objective`` sets.
+    ``u`` is a private copy of the interior coefficients; ``grads`` the
+    (2, ns) gradient components and ``mass_u`` the interior part of P u,
+    both read off one product with ``ops.point_op``; ``norms`` the
+    smoothed norms (one column euclidean, two componentwise) and
+    ``scale`` their (kappa + n)**(p-2), set to 0 where that power is
+    singular (p < 2, kappa = eps = 0 and n = 0).  ``size`` is
+    |1/2 u' P u| + tau |sum_j |S_j| phi| + |f' Pt u|, the magnitude of
+    J's terms, which ``objective`` sets; ``residual`` the interior
+    gradient of J, which ``_residual`` forms once and keeps read-only.
     """
 
     u: np.ndarray
     eps: float
-    u_full: np.ndarray
-    local: np.ndarray
-    mass_local: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
+    grads: np.ndarray
+    mass_u: np.ndarray
     norms: np.ndarray
+    scale: np.ndarray
     size: float = float("nan")
+    residual: np.ndarray | None = None
+
+    @property
+    def g1(self) -> np.ndarray:
+        return self.grads[0]
+
+    @property
+    def g2(self) -> np.ndarray:
+        return self.grads[1]
 
 
 def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
@@ -175,26 +188,23 @@ def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
     if last is not None and last.eps == eps and np.array_equal(last.u, u_interior):
         return last
     ops = prob.ops
-    u_full = np.zeros(ops.n_vertices)
-    u_full[ops.interior] = u_interior
-    local = u_full[ops.mesh.simplices]
-    gx, gy = ops.basis_grad
-    g1 = (gx * local) @ _ROW_SUM
-    g2 = (gy * local) @ _ROW_SUM
+    ns = ops.n_simplices
+    state = ops.point_op @ u_interior
+    grads = state[: 2 * ns].reshape(2, ns)
+    g1, g2 = grads
     if prob.formulation == "euclidean":
         norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)[:, None]
     else:
-        norms = np.column_stack([np.sqrt(eps * eps + g1 * g1), np.sqrt(eps * eps + g2 * g2)])
-    point = _Point(
-        u=u_interior.copy(),
-        eps=eps,
-        u_full=u_full,
-        local=local,
-        mass_local=ops.areas[:, None] * (local @ _LOCAL_MASS),
-        g1=g1,
-        g2=g2,
-        norms=norms,
-    )
+        norms = np.sqrt(eps * eps + grads * grads).T
+    p, kappa = prob.params.p, prob.params.kappa
+    if p < 2.0 and kappa == 0.0 and eps == 0.0:
+        # S(0) = 0 and phi(0) = 0; gradient and Hessian refuse such a point
+        with np.errstate(divide="ignore"):
+            scale = norms ** (p - 2.0)
+        scale[norms == 0.0] = 0.0
+    else:
+        scale = (kappa + norms) ** (p - 2.0)
+    point = _Point(u=u_interior.copy(), eps=eps, grads=grads, mass_u=state[2 * ns :], norms=norms, scale=scale)
     object.__setattr__(prob, "_last", point)
     return point
 
@@ -206,25 +216,43 @@ def _check_interior(prob: StepProblem, u_interior: np.ndarray) -> np.ndarray:
     return u_interior
 
 
-def _residual(prob: StepProblem, point: _Point, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Interior part of P u + tau sum_i Di' diag(areas) s_i - Pt' f, by one bincount."""
-    ops = prob.ops
-    gx, gy = ops.basis_grad
-    ts1 = prob.tau_m * ops.areas * s1
-    ts2 = prob.tau_m * ops.areas * s2
-    local = point.mass_local + ts1[:, None] * gx + ts2[:, None] * gy
-    r = np.bincount(ops.mesh.simplices.ravel(), weights=local.ravel(), minlength=ops.n_vertices)
-    return r[ops.interior] - prob.load[ops.interior]
+def _residual(prob: StepProblem, point: _Point) -> np.ndarray:
+    """Interior part of P u + tau sum_i Di' diag(areas) s_i - Pt' f at ``point``, formed once."""
+    if point.residual is None:
+        object.__setattr__(point, "residual", _form_residual(prob, point))
+    return point.residual
+
+
+def _form_residual(prob: StepProblem, point: _Point) -> np.ndarray:
+    flux = _smoothed_tensor(prob, point).ravel()
+    r = point.mass_u + prob.tau_m * (prob.ops.flux_op @ flux) - prob._load_interior
+    # the memo's own array: no caller may change it
+    r.flags.writeable = False
+    return r
+
+
+def _energy(prob: StepProblem, point: _Point) -> float:
+    """sum_j |S_j| phi(n_j) over the norm columns, phi'(t) = (kappa + t)**(p-2) t, phi(0) = 0."""
+    p, kappa = prob.params.p, prob.params.kappa
+    n, s = point.norms, point.scale
+    if kappa == 0.0:
+        density = n * n * s / p
+    else:
+        # (kt**p - kappa**p) / p - kappa (kt**(p-1) - kappa**(p-1)) / (p-1)
+        kt = kappa + n
+        density = (s * kt * kt - kappa**p) / p - kappa * (s * kt - kappa ** (p - 1.0)) / (p - 1.0)
+        if point.eps == 0.0:
+            density[n == 0.0] = 0.0  # exactly, not up to the rounding of s
+    return float((prob.ops.areas @ density).sum())
 
 
 def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
     """J(u) at u = R' u_interior, optionally with eps-smoothed density."""
     point = _point(prob, u_interior, eps)
-    p, kappa = prob.params.p, prob.params.kappa
     with np.errstate(over="ignore"):
-        energy = prob.tau_m * float((prob.ops.areas @ _energy_density(point.norms, p, kappa)).sum())
-        quad = 0.5 * float(np.vdot(point.mass_local, point.local))
-        linear = float(prob.load @ point.u_full)
+        energy = prob.tau_m * _energy(prob, point)
+        quad = 0.5 * float(point.u @ point.mass_u)
+        linear = float(prob._load_interior @ point.u)
         object.__setattr__(point, "size", abs(quad) + abs(energy) + abs(linear))
         return quad + energy - linear
 
@@ -237,30 +265,27 @@ def _raise_if_singular(norms: np.ndarray, p: float, eps: float) -> None:
 
 
 def gradient(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Gradient of objective(., eps) with respect to the interior unknowns."""
+    """Gradient of objective(., eps) with respect to the interior unknowns (read-only)."""
     point = _point(prob, u_interior, eps)
     _raise_if_singular(point.norms, prob.params.p, eps)
-    return _residual(prob, point, *_smoothed_tensor(prob, point))
+    return _residual(prob, point)
 
 
-def _smoothed_tensor(prob: StepProblem, point: _Point) -> tuple[np.ndarray, np.ndarray]:
-    """Components (s1, s2) of the tensor of the eps-smoothed energy per simplex."""
-    scale = (prob.params.kappa + point.norms) ** (prob.params.p - 2.0)
-    # the last column is the one euclidean norm, or the second component's
-    return scale[:, 0] * point.g1, scale[:, -1] * point.g2
+def _smoothed_tensor(prob: StepProblem, point: _Point) -> np.ndarray:
+    """The (2, ns) components (s1, s2) of the tensor of the eps-smoothed energy per simplex."""
+    # one euclidean column scales both components, two scale one each
+    return point.scale.T * point.grads
 
 
 def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarray:
     """Interior Hessian of objective(., eps) as a band data vector of ``ops.pattern``."""
     point = _point(prob, u_interior, eps)
-    p, kappa = prob.params.p, prob.params.kappa
+    p = prob.params.p
     g1, g2, norms = point.g1, point.g2, point.norms
     _raise_if_singular(norms, p, eps)
-    base = kappa + norms
-    a = base ** (p - 2.0)
-    b = np.zeros_like(norms)
-    pos = norms > 0.0
-    b[pos] = (p - 2.0) * base[pos] ** (p - 3.0) / norms[pos]
+    a = point.scale
+    # (p-2) (kappa + n)**(p-3) / n, zero where n vanishes
+    b = np.divide((p - 2.0) * a, (prob.params.kappa + norms) * norms, out=np.zeros_like(norms), where=norms > 0.0)
     areas = prob.ops.areas
     if prob.formulation == "euclidean":
         a0, b0 = a[:, 0], b[:, 0]
@@ -284,18 +309,10 @@ def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) ->
     gradient component).  With eps = 0 the unsmoothed tensor is used
     (continuous zero extension where a norm vanishes); with eps > 0 the
     tensor of the eps-smoothed energy, the form whose residual the
-    solver drives below tolerance for p < 2.
+    solver drives below tolerance for p < 2.  Either is the gradient of
+    objective(., eps) wherever that exists.
     """
-    point = _point(prob, u_interior, eps)
-    if eps == 0.0:
-        g = np.column_stack([point.g1, point.g2])
-        if prob.formulation == "componentwise":
-            g = g[:, :, None]  # each component a row of its own
-        s = tensor_s_rows(g, prob.params).reshape(-1, 2)
-        s1, s2 = s[:, 0], s[:, 1]
-    else:
-        s1, s2 = _smoothed_tensor(prob, point)
-    return float(np.linalg.norm(_residual(prob, point, s1, s2)))
+    return float(np.linalg.norm(_residual(prob, _point(prob, u_interior, eps))))
 
 
 def splu(pattern: InteriorPattern, data: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -355,10 +372,8 @@ def _dual(prob: StepProblem, point: _Point, flux: tuple[np.ndarray, np.ndarray] 
     Euclidean: one ball for the pair; componentwise: one per component.
     Without ``flux``, the primal flux s g, which lies in the ball.
     """
-    p, norms = prob.params.p, point.norms
-    base = prob.params.kappa + norms
-    s = base ** (p - 2.0)
-    c = (p - 2.0) / (norms * base)
+    p, norms, s = prob.params.p, point.norms, point.scale
+    c = (p - 2.0) / (norms * (prob.params.kappa + norms))
     # the last column is the one euclidean norm, or the second component's
     s1, s2, c1, c2 = s[:, 0], s[:, -1], c[:, 0], c[:, -1]
     if flux is None:
@@ -462,10 +477,20 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
         g = gradient(prob, u, eps)
 
 
-def _presolve(prob: StepProblem) -> np.ndarray:
-    """Minimizer of the p=2 surrogate step (P + tau A) u = load."""
+def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray:
+    """Start candidate: the solve of (P + tau A_s) u = load.
+
+    A_s is the stiffness weighted per simplex by ``scale`` (one column
+    euclidean, one per gradient component componentwise), or without it
+    the p = 2 stiffness A.
+    """
     pattern = prob.ops.pattern
-    u = splu(pattern, pattern.mass + prob.tau_m * pattern.stiffness, prob.load[prob.ops.interior])
+    if scale is None:
+        stiffness = pattern.stiffness
+    else:
+        areas = prob.ops.areas
+        stiffness = pattern.weighted_stiffness(areas * scale[:, 0], np.zeros_like(areas), areas * scale[:, -1])
+    u = splu(pattern, pattern.mass + prob.tau_m * stiffness, prob._load_interior)
     if u is None:
         raise ConvergenceError("presolve factorization failed")
     return u
@@ -494,17 +519,24 @@ def solve_step(
     params = prob.params
     eps = 0.0 if params.p >= 2.0 else (params.eps_reg if params.eps_reg > 0.0 else EPS_FINAL)
 
-    # A p=2 surrogate solve is a far better starting point than a cold
-    # warm start (large steps otherwise send Newton on a slow trek
+    # A linear start candidate is a far better starting point than a
+    # cold warm start (large steps otherwise send Newton on a slow trek
     # through the boundary layer); keep whichever candidate scores the
-    # lower objective.
-    u = warm_start.astype(float).copy()
-    pre = _presolve(prob)
-    if objective(prob, pre, eps) < objective(prob, u, eps):
-        u = pre
+    # lower objective.  For p < 2 it is the lagged-diffusivity step from
+    # the warm start, for p >= 2 the p = 2 surrogate, which takes fewer
+    # Newton iterations there.  Each candidate's point is built once:
+    # when the warm start wins, its point goes back into the memo.
+    u = warm_start.copy()
+    f_warm = objective(prob, u, eps)
+    warm = _point(prob, u, eps)
     trace: list[float] = []
     try:
         target = tol * (1.0 + float(np.linalg.norm(gradient(prob, warm_start, eps))))
+        pre = _presolve(prob, warm.scale if params.p < 2.0 else None)
+        if objective(prob, pre, eps) < f_warm:
+            u = pre
+        else:
+            object.__setattr__(prob, "_last", warm)
         u, iterations = _minimize_level(prob, u, eps, target, max_iter, trace)
     except ConvergenceError as exc:
         exc.report = SolveReport(
@@ -515,6 +547,7 @@ def solve_step(
         )
         raise
 
+    # the point of u is the memo's, its residual formed: no new work
     report = SolveReport(
         iterations=iterations,
         final_grad_norm=float(np.linalg.norm(gradient(prob, u, eps))),

@@ -27,7 +27,6 @@ window is symmetric around m*tau, so the mean is unchanged).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ from .fem import FemOperators
 from .mesh import Mesh
 
 _MASK64 = (1 << 64) - 1
-
-PATH_MAGIC = b"SPLAPW1"
 
 
 def _splitmix64(x: int) -> int:
@@ -119,28 +116,6 @@ def increment(path: NoisePath, a: int, b: int) -> np.ndarray:
     for i in range(int(a), int(b)):
         out += inc[i]
     return out
-
-
-def dump_path(path: NoisePath) -> bytes:
-    """Binary sidecar: magic, n_fine, K (little-endian u64), then the
-    increments row-major as little-endian f64."""
-    head = PATH_MAGIC + struct.pack("<QQ", path.n_fine, path.n_components)
-    body = np.ascontiguousarray(path.increments, dtype="<f8").tobytes()
-    return head + body
-
-
-def load_path_increments(data: bytes) -> np.ndarray:
-    """Read back the increments array from a path sidecar."""
-    if data[: len(PATH_MAGIC)] != PATH_MAGIC:
-        raise ValueError("bad path sidecar magic")
-    off = len(PATH_MAGIC)
-    n_fine, k = struct.unpack_from("<QQ", data, off)
-    off += 16
-    expected = off + 8 * n_fine * k
-    if len(data) != expected:
-        raise ValueError(f"path sidecar truncated: {len(data)} bytes, expected {expected}")
-    inc = np.frombuffer(data, dtype="<f8", offset=off).reshape(n_fine, k)
-    return inc.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ A randomly renumbered mesh, a band densifier, and the step objective,
 its gradient, Hessian and KKT residual as the solver computed them
 before the per-point state: each call prolongs u and runs the CSR
 derivative and mass products itself, and the Hessian sums dense
-per-simplex 3 x 3 blocks into the band.  The step solve as it was
-before the primal-dual Newton matrix: for p < 2 the smoothing
-continuation 1e-2, 1e-4, 1e-6, and on every level, smoothed or not,
-damped Newton on the primal Hessian.  Last, the errors of one
+per-simplex 3 x 3 blocks into the band.  The per-point gather, the
+residual and the weighted stiffness as the solver computed them before
+the fixed interior operators: nodal values gathered per simplex,
+transposed products and band data summed by ``bincount``.  The step
+solve as it was before the primal-dual Newton matrix: the p = 2
+surrogate start, for p < 2 the smoothing continuation 1e-2, 1e-4,
+1e-6, and on every level, smoothed or not, damped Newton on the primal
+Hessian.  Last, the errors of one
 Monte-Carlo replicate as the harness computed them before the reference
 was shared: the reference marches the whole path lattice and every
 ladder entry runs its own trajectory.
@@ -18,6 +22,7 @@ from scipy.spatial import Delaunay
 
 from splap.analysis import _path_layout, _runtime, path_error
 from splap.constitutive import GrowthParams, tensor_s_rows
+from splap.fem import _LOCAL_MASS
 from splap.mesh import _signed_areas, generate_unit_square, make_mesh
 from splap.psolver import (
     ARMIJO_C1,
@@ -25,10 +30,9 @@ from splap.psolver import (
     DEFAULT_TOL,
     ConvergenceError,
     SingularityError,
-    _energy_density,
     _hessian,
     _newton_direction,
-    _presolve,
+    splu,
 )
 from splap.psolver import gradient as step_gradient
 from splap.psolver import objective as step_objective
@@ -74,6 +78,75 @@ def band_to_dense(pattern, data):
     return dense
 
 
+def band_slots(ops):
+    """(keep, slot): the element-block entries the band stores, and where.
+
+    Entry k of the flattened (ns, 3, 3) element blocks couples local
+    nodes a, b of simplex j (k = 9j + 3a + b).  ``keep`` lists the
+    entries whose vertices are both interior and whose row is not above
+    their column in the pattern's RCM numbering; ``slot`` is the band
+    data index each of them adds into.
+    """
+    pattern, t, ni = ops.pattern, ops.mesh.simplices, ops.n_interior
+    local = np.full(ops.n_vertices, -1, dtype=np.int64)
+    local[ops.interior] = np.arange(ni)
+    rank = np.empty(ni, dtype=np.int64)
+    rank[pattern.perm] = np.arange(ni)
+    lt = local[t]
+    rows = np.broadcast_to(lt[:, :, None], lt.shape + (3,)).ravel()
+    cols = np.broadcast_to(lt[:, None, :], lt.shape + (3,)).ravel()
+    inner = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols = rank[rows[inner]], rank[cols[inner]]
+    lower = rows >= cols
+    slot = cols[lower] * (pattern.kd + 1) + rows[lower] - cols[lower]
+    return inner[lower], slot
+
+
+def bincount_weighted_stiffness(ops, w11, w12, w22):
+    """Band data of the weighted stiffness: per-entry basis products summed by bincount."""
+    keep, slot = band_slots(ops)
+    j, a, b = keep // 9, keep // 3 % 3, keep % 3
+    gx, gy = ops.basis_grad
+    data = (
+        w11[j] * gx[j, a] * gx[j, b]
+        + w12[j] * (gx[j, a] * gy[j, b] + gy[j, a] * gx[j, b])
+        + w22[j] * gy[j, a] * gy[j, b]
+    )
+    return np.bincount(slot, weights=data, minlength=ops.pattern.mass.shape[0])
+
+
+def gathered_state(ops, u_interior):
+    """(g1, g2, interior part of P u) from the nodal values gathered per simplex."""
+    u_full = np.zeros(ops.n_vertices)
+    u_full[ops.interior] = u_interior
+    local = u_full[ops.mesh.simplices]
+    gx, gy = ops.basis_grad
+    mass_local = ops.areas[:, None] * (local @ _LOCAL_MASS)
+    pu = np.bincount(ops.mesh.simplices.ravel(), weights=mass_local.ravel(), minlength=ops.n_vertices)
+    return (gx * local).sum(axis=1), (gy * local).sum(axis=1), pu[ops.interior]
+
+
+def bincount_residual(prob, u_interior, s1, s2):
+    """Interior part of P u + tau sum_i Di' diag(areas) s_i - Pt' f, by one bincount."""
+    ops = prob.ops
+    u_full = np.zeros(ops.n_vertices)
+    u_full[ops.interior] = u_interior
+    local = u_full[ops.mesh.simplices]
+    gx, gy = ops.basis_grad
+    contrib = ops.areas[:, None] * (local @ _LOCAL_MASS)
+    contrib += prob.tau_m * ops.areas[:, None] * (s1[:, None] * gx + s2[:, None] * gy)
+    r = np.bincount(ops.mesh.simplices.ravel(), weights=contrib.ravel(), minlength=ops.n_vertices)
+    return r[ops.interior] - prob.load[ops.interior]
+
+
+def energy_density(t, p, kappa):
+    """phi(t) with phi'(t) = (kappa + t)**(p-2) t and phi(0) = 0, by powers of t."""
+    if kappa == 0.0:
+        return t**p / p
+    kt = kappa + t
+    return (kt**p - kappa**p) / p - kappa * (kt ** (p - 1.0) - kappa ** (p - 1.0)) / (p - 1.0)
+
+
 def smoothed_norms(prob, u_full, eps):
     """(g1, g2, norms) by the CSR derivative products."""
     d1, d2 = prob.ops.dgrad
@@ -97,7 +170,7 @@ def objective(prob, u_interior, eps=0.0):
     p, kappa = prob.params.p, prob.params.kappa
     _, _, norms = smoothed_norms(prob, u, eps)
     with np.errstate(over="ignore"):
-        density = _energy_density(norms, p, kappa).sum(axis=1)
+        density = energy_density(norms, p, kappa).sum(axis=1)
         quad = 0.5 * float(u @ (prob.ops.mass @ u))
         return quad + prob.tau_m * float(prob.ops.areas @ density) - float(prob.load @ u)
 
@@ -143,8 +216,9 @@ def hessian(prob, u_interior, eps):
     hx = w11[:, None] * gx + w12[:, None] * gy
     hy = w12[:, None] * gx + w22[:, None] * gy
     blocks = gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :]
+    keep, slot = band_slots(prob.ops)
     pattern = prob.ops.pattern
-    scattered = np.bincount(pattern.slot, weights=blocks.ravel()[pattern.keep], minlength=pattern.mass.shape[0])
+    scattered = np.bincount(slot, weights=blocks.ravel()[keep], minlength=pattern.mass.shape[0])
     return pattern.mass + prob.tau_m * scattered
 
 
@@ -208,11 +282,20 @@ def _primal_level(prob, u, eps, target, max_iter):
     return u, it
 
 
+def surrogate_start(prob):
+    """Minimizer of the p = 2 surrogate step (P + tau A) u = load, in the pattern's band."""
+    pattern = prob.ops.pattern
+    u = splu(pattern, pattern.mass + prob.tau_m * pattern.stiffness, prob.load[prob.ops.interior])
+    if u is None:
+        raise ConvergenceError("presolve factorization failed")
+    return u
+
+
 def solve_step_primal(prob, warm_start, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """solve_step with primal Newton on every level: (u, total iterations)."""
     levels = _primal_schedule(prob.params)
     u = np.array(warm_start, dtype=float)
-    pre = _presolve(prob)
+    pre = surrogate_start(prob)
     if step_objective(prob, pre, levels[0]) < step_objective(prob, u, levels[0]):
         u = pre
     total = 0

@@ -1,17 +1,9 @@
-"""Tests for mesh generation, validation, serialization, and geometry."""
+"""Tests for mesh generation and validation."""
 
 import numpy as np
 import pytest
 
-from splap.mesh import (
-    MeshError,
-    dump_mesh,
-    generate_unit_square,
-    load_mesh,
-    make_mesh,
-    mesh_size,
-    nondegeneracy,
-)
+from splap.mesh import MeshError, generate_unit_square, make_mesh
 
 
 def shoelace(vertices, simplices):
@@ -53,31 +45,6 @@ def test_unit_square_rejects_bad_n():
         generate_unit_square(0)
     with pytest.raises(ValueError):
         generate_unit_square(-3)
-
-
-def test_mesh_size_unit_square():
-    for n in (1, 2, 8, 16):
-        assert np.isclose(mesh_size(generate_unit_square(n)), np.sqrt(2.0) / n, rtol=1e-12)
-
-
-def test_nondegeneracy_equilateral():
-    # equilateral triangle: h / rho = s / (s / (2 sqrt(3))) = 2 sqrt(3)
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-    m = make_mesh(verts, np.array([[0, 1, 2]]))
-    assert np.isclose(nondegeneracy(m), 2.0 * np.sqrt(3.0), rtol=1e-12)
-
-
-def test_nondegeneracy_unit_square_constant_in_n():
-    # right isoceles: h = sqrt(2)/n, rho = (2 - sqrt(2))/(2n), ratio 2 + 2 sqrt(2)
-    expected = 2.0 + 2.0 * np.sqrt(2.0)
-    for n in (1, 3, 16):
-        assert np.isclose(nondegeneracy(generate_unit_square(n)), expected, rtol=1e-12)
-
-
-def test_nondegeneracy_scale_invariant():
-    m = generate_unit_square(4)
-    scaled = make_mesh(m.vertices * 7.5, m.simplices)
-    assert np.isclose(nondegeneracy(scaled), nondegeneracy(m), rtol=1e-12)
 
 
 def test_make_mesh_rejects_inverted_simplex():
@@ -137,48 +104,3 @@ def test_make_mesh_rejects_nonfinite():
 def test_make_mesh_rejects_empty():
     with pytest.raises(MeshError):
         make_mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int))
-
-
-def test_dump_load_round_trip():
-    m = generate_unit_square(3)
-    data = dump_mesh(m)
-    assert isinstance(data, bytes)
-    back = load_mesh(data)
-    assert np.array_equal(back.vertices, m.vertices)
-    assert np.array_equal(back.simplices, m.simplices)
-    assert np.array_equal(back.boundary_vertex_flags, m.boundary_vertex_flags)
-
-
-def test_dump_format_is_line_oriented():
-    m = generate_unit_square(1)
-    text = dump_mesh(m).decode("utf-8")
-    lines = text.splitlines()
-    assert lines[0].startswith("mesh ")
-    assert "v=4" in lines[0] and "s=2" in lines[0]
-    assert "\r" not in text
-
-
-def test_load_rejects_bad_header():
-    with pytest.raises(MeshError):
-        load_mesh(b"not a mesh\n")
-
-
-def test_load_rejects_wrong_counts():
-    m = generate_unit_square(1)
-    lines = dump_mesh(m).decode("utf-8").splitlines()
-    truncated = "\n".join(lines[:-1]) + "\n"
-    with pytest.raises(MeshError):
-        load_mesh(truncated.encode("utf-8"))
-
-
-def test_load_rejects_out_of_range_reference():
-    text = "mesh v=3 s=1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 7\n"
-    with pytest.raises(MeshError):
-        load_mesh(text.encode("utf-8"))
-
-
-def test_loaded_mesh_is_validated():
-    # inverted orientation must be rejected on load as well
-    text = "mesh v=3 s=1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 2 1\n"
-    with pytest.raises(MeshError):
-        load_mesh(text.encode("utf-8"))

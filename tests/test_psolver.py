@@ -476,6 +476,26 @@ def test_presolve_system_matches_restricted_operators(mesh_name, monkeypatch):
         band_to_dense(ops.pattern, factored[0]), oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()
     )
     np.testing.assert_allclose(u, linear_oracle(prob), rtol=1e-10, atol=1e-12)
+    # the lagged-diffusivity start: the stiffness weighted per simplex by
+    # s = (kappa + |grad u_warm|_eps)**(p-2), each component's own s
+    # componentwise, R (P + tau sum_i Di' diag(|S_j| s_i) Di) R'
+    d1, d2 = ops.dgrad
+    for formulation in ("euclidean", "componentwise"):
+        lagged = dataclasses.replace(prob, params=GrowthParams(1.5, kappa=0.3), formulation=formulation)
+        warm = rng.standard_normal(ops.n_interior)
+        g1, g2, norms = oracles.smoothed_norms(lagged, ops.prolong(warm), EPS_FINAL)
+        s = (0.3 + norms) ** -0.5
+        weighted = d1.T @ sp.diags(ops.areas * s[:, 0]) @ d1 + d2.T @ sp.diags(ops.areas * s[:, -1]) @ d2
+        system = r @ (ops.mass + lagged.tau_m * weighted) @ r.T
+        factored.clear()
+        u = _presolve(lagged, _point(lagged, warm, EPS_FINAL).scale)
+        assert len(factored) == 1
+        dense = system.toarray()
+        np.testing.assert_allclose(
+            band_to_dense(ops.pattern, factored[0]), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max()
+        )
+        expected = spla.spsolve(sp.csc_matrix(system), r @ lagged.load)
+        np.testing.assert_allclose(u, expected, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
@@ -573,6 +593,114 @@ def test_kkt_residual_zero_extension_at_vanishing_gradients():
     assert np.isclose(kkt_residual(prob, u), oracles.kkt_residual(prob, u), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
+def test_singular_point_evaluations_raise_no_warning(formulation, kappa):
+    # at u = 0 every gradient vanishes: phi(0) = 0 and S(0) = 0 without
+    # a floating-point warning, where the derivatives at eps = 0 refuse
+    rng = np.random.default_rng(20)
+    ops = assemble(generate_unit_square(4))
+    zero = np.zeros(ops.n_interior)
+    for p in (1.1, 1.5):
+        prob = StepProblem(
+            ops=ops,
+            params=GrowthParams(p, kappa=kappa),
+            tau_m=0.2,
+            forcing=rng.standard_normal(3 * ops.n_simplices),
+            formulation=formulation,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                assert objective(prob, zero, 0.0) == 0.0
+                assert kkt_residual(prob, zero, 0.0) == np.linalg.norm(prob.load[ops.interior])
+                for derivative in (gradient, _hessian):
+                    with pytest.raises(SingularityError):
+                        derivative(prob, zero, 0.0)
+                assert objective(prob, zero, EPS_FINAL) > 0.0
+                assert kkt_residual(prob, zero, EPS_FINAL) == np.linalg.norm(prob.load[ops.interior])
+        assert np.isclose(objective(prob, zero, EPS_FINAL), oracles.objective(prob, zero, EPS_FINAL), rtol=1e-12)
+
+
+def test_kept_residual_is_read_only():
+    rng = np.random.default_rng(21)
+    prob = random_problem(rng, n=4, p=1.5, tau=0.2)
+    u = rng.standard_normal(prob.ops.n_interior)
+    g = gradient(prob, u, 1e-6)
+    expected = g.copy()
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    with pytest.raises(ValueError):
+        g += 1.0
+    assert gradient(prob, u, 1e-6) is g
+    np.testing.assert_array_equal(gradient(prob, u, 1e-6), expected)
+    # a caller's own arithmetic on it still runs
+    assert np.array_equal(-g, -expected)
+
+
+INTERIOR_OPERATOR_CASES = [
+    (p, kappa, formulation, eps)
+    for p in (1.1, 1.5, 2.5)
+    for kappa in (0.0, 0.3)
+    for formulation in ("euclidean", "componentwise")
+    for eps in (0.0, 1e-6, 1e-2)
+]
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("p, kappa, formulation, eps", INTERIOR_OPERATOR_CASES)
+def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, formulation, eps):
+    # each product with a fixed interior operator against the CSR
+    # products of the mesh's operators and the bincount sums it replaced
+    ops = assemble(oracle_meshes()[mesh_name])
+    rng = np.random.default_rng(int(100 * p + 10 * kappa) + int(1e6 * eps))
+    prob = StepProblem(
+        ops=ops,
+        params=GrowthParams(p, kappa=kappa),
+        tau_m=0.3,
+        forcing=rng.standard_normal(3 * ops.n_simplices),
+        formulation=formulation,
+    )
+    u = rng.standard_normal(ops.n_interior)
+    u_full = ops.prolong(u)
+    d1, d2 = ops.dgrad
+    point = _point(prob, u, eps)
+    # point_op: both gradient components and the interior part of P u
+    gathered = oracles.gathered_state(ops, u)
+    for fast, csr, old in zip(
+        (point.g1, point.g2, point.mass_u), (d1 @ u_full, d2 @ u_full, (ops.mass @ u_full)[ops.interior]), gathered
+    ):
+        assert_matches(fast, csr)
+        assert_matches(fast, old)
+    # flux_op: the residual of the point's own tensor
+    s1, s2 = _smoothed_tensor(prob, point)
+    areas = ops.areas
+    csr = (ops.mass @ u_full + prob.tau_m * (d1.T @ (areas * s1) + d2.T @ (areas * s2)) - prob.load)[ops.interior]
+    residual = splap.psolver._residual(prob, point)
+    assert_matches(residual, csr)
+    assert_matches(residual, oracles.bincount_residual(prob, u, s1, s2))
+    # products: the weighted stiffness of per-simplex weights built from
+    # the point's scale and gradient
+    scale = point.scale
+    w11 = areas * scale[:, 0] * (1.0 + point.g1 * point.g1)
+    w12 = areas * point.g1 * point.g2
+    w22 = areas * scale[:, -1] * (1.0 + point.g2 * point.g2)
+    fast = ops.pattern.weighted_stiffness(w11, w12, w22)
+    assert_matches(fast, oracles.bincount_weighted_stiffness(ops, w11, w12, w22))
+    r = ops.restriction
+    dense = (
+        r
+        @ (
+            d1.T @ sp.diags(w11) @ d1
+            + d1.T @ sp.diags(w12) @ d2
+            + d2.T @ sp.diags(w12) @ d1
+            + d2.T @ sp.diags(w22) @ d2
+        )
+        @ r.T
+    ).toarray()
+    np.testing.assert_allclose(band_to_dense(ops.pattern, fast), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+
 @pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
 def test_point_reuse_is_keyed_on_value_and_eps(formulation):
     ops = assemble(jittered_mesh(6, seed=4))
@@ -604,9 +732,10 @@ def test_point_reuse_is_keyed_on_value_and_eps(formulation):
     assert prob._last is last
 
 
-def test_point_evaluations_use_no_sparse_operator():
-    # with the CSR operators of the mesh taken away, every evaluation at
-    # a point still runs and agrees with the oracles on the full problem
+def test_point_evaluations_read_no_mass_broken_mass_dgrad_or_restriction():
+    # with the mesh's global CSR operators taken away, every evaluation
+    # at a point still runs on the fixed interior operators and agrees
+    # with the oracles on the full problem
     rng = np.random.default_rng(19)
     prob = random_problem(rng, n=6, p=1.5, tau=0.2)
     bare = StepProblem(ops=prob.ops, params=prob.params, tau_m=prob.tau_m, forcing=prob.forcing)

@@ -7,9 +7,7 @@ from scipy import stats
 from splap.fem import assemble, broken_embed
 from splap.mesh import generate_unit_square
 from splap.stochastics import (
-    dump_path,
     increment,
-    load_path_increments,
     make_noise_coefficient,
     mix_seed,
     noise_from_function,
@@ -118,14 +116,6 @@ def test_mix_seed_streams_distinct():
     assert len(seeds) == 10_000
     assert mix_seed(2, 0) != mix_seed(1, 0)
     assert mix_seed(master, 7) == mix_seed(master, 7)
-
-
-def test_dump_load_path_round_trip():
-    path = sample_path(9, 0.5, 128, 2)
-    data = dump_path(path)
-    assert np.array_equal(load_path_increments(data), path.increments)
-    with pytest.raises(ValueError):
-        load_path_increments(b"garbage")
 
 
 def test_uniform_grid_examples():

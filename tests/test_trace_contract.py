@@ -81,3 +81,35 @@ def test_solve_step_call_protocol(monkeypatch, p):
         # two pick the start point, one opens each level, at least one
         # line-search trial per Newton iteration
         assert counts["objective"] >= 2 + levels + report.iterations
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
+def test_solve_step_forms_each_residual_once(monkeypatch, p):
+    # the residual is formed at the warm start, at the start point (the
+    # warm start's own when it wins) and once per Newton iteration; the
+    # final gradient call reads the last point's kept residual
+    counts = {"gradient": 0, "residual": 0}
+    gradient = splap.psolver.gradient
+    form_residual = splap.psolver._form_residual
+
+    def counting_gradient(*args, **kwargs):
+        counts["gradient"] += 1
+        return gradient(*args, **kwargs)
+
+    def counting_residual(*args):
+        counts["residual"] += 1
+        return form_residual(*args)
+
+    monkeypatch.setattr(splap.psolver, "gradient", counting_gradient)
+    monkeypatch.setattr(splap.psolver, "_form_residual", counting_residual)
+    ops = assemble(generate_unit_square(6))
+    rng = np.random.default_rng(int(10 * p) + 1)
+    for tau in (0.02, 0.5):
+        for warm in (np.zeros(ops.n_interior), rng.standard_normal(ops.n_interior)):
+            prob = StepProblem(
+                ops=ops, params=GrowthParams(p), tau_m=tau, forcing=rng.standard_normal(3 * ops.n_simplices)
+            )
+            counts.update(gradient=0, residual=0)
+            _, report = solve_step(prob, warm)
+            assert counts["gradient"] == report.iterations + 3
+            assert counts["residual"] <= report.iterations + 2
