@@ -309,7 +309,6 @@ def _replicate_errors(cfg: ExperimentConfig, p: float, r: int):
             path=path,
             initial=initial,
             solver_tol=cfg.solver_tol,
-            formulation=cfg.formulation,
             clip_initial=cfg.clip_initial,
         )
 

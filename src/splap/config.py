@@ -23,7 +23,6 @@ sigma             multiplicative shape: u or number   (default u)
 u0                constant initial value              (default 1)
 grid_kind         deterministic | random              (default deterministic)
 solver_tol        per-step solver tolerance           (default 1e-9)
-formulation       euclidean | componentwise           (default euclidean)
 clip_initial      zero the initial boundary values    (default false)
 fit_taus          auto | list of taus to regress      (default auto)
 out_dir           output directory                    (default splap_out)
@@ -64,7 +63,6 @@ class ExperimentConfig:
     u0: float = 1.0
     grid_kind: str = "deterministic"
     solver_tol: float = 1e-9
-    formulation: str = "euclidean"
     clip_initial: bool = False
     fit_taus: tuple | None = None
     out_dir: str = "splap_out"
@@ -88,7 +86,6 @@ _KEYMAP = {
     "u0": "u0",
     "grid_kind": "grid_kind",
     "solver_tol": "solver_tol",
-    "formulation": "formulation",
     "clip_initial": "clip_initial",
     "fit_taus": "fit_taus",
     "out_dir": "out_dir",
@@ -100,7 +97,7 @@ _NUMBER_LIST_KEYS = {"p_list", "tau_ladder"}
 _NUMBER_KEYS = {"kappa", "tau_ref", "T", "u0", "solver_tol"}
 _INT_KEYS = {"mesh_n", "n_r", "master_seed", "noise_components", "workers"}
 _BOOL_KEYS = {"clip_initial"}
-_STRING_KEYS = {"noise_mode", "phi", "sigma", "grid_kind", "formulation", "out_dir"}
+_STRING_KEYS = {"noise_mode", "phi", "sigma", "grid_kind", "out_dir"}
 
 
 def parse_number(token: str) -> float:
@@ -206,8 +203,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"noise_components must be >= 1, got {cfg.noise_components}")
     if cfg.grid_kind not in ("deterministic", "random"):
         raise ConfigError(f"grid_kind must be deterministic or random, got {cfg.grid_kind!r}")
-    if cfg.formulation not in ("euclidean", "componentwise"):
-        raise ConfigError(f"formulation must be euclidean or componentwise, got {cfg.formulation!r}")
     if not (np.isfinite(cfg.solver_tol) and cfg.solver_tol > 0.0):
         raise ConfigError(f"solver_tol must be positive, got {cfg.solver_tol!r}")
     if not np.isfinite(cfg.u0):

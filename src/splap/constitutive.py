@@ -19,8 +19,10 @@ error is measured.
 
 Operationally everything downstream uses the scalar 2D case, where a
 gradient per simplex is a 1-by-2 matrix.  The ``*_rows`` variants apply
-the maps row-wise to an ``(n, d)`` array; they are the hot path of the
-error norms and of the Newton residual.
+the maps row-wise to an ``(n, d)`` array.  ``tensor_f_rows`` is the hot
+path of the quasinorm error (``fem.quasinorm_error_sq``); the solver
+forms its own smoothed tensor, and ``tensor_s_rows`` is the reference
+its residual is tested against.
 """
 
 from __future__ import annotations
@@ -40,22 +42,16 @@ class GrowthParams:
         Growth exponent, ``1 < p < inf``.
     kappa : float
         Nonnegative shift.  ``kappa = 0`` is the degenerate case.
-    eps_reg : float
-        Smoothing floor used only by the per-step solver.  ``0`` selects
-        the solver's built-in continuation schedule.
     """
 
     p: float
     kappa: float = 0.0
-    eps_reg: float = 0.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.p) and self.p > 1.0):
             raise ValueError(f"growth exponent must satisfy 1 < p < inf, got p={self.p}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0.0):
             raise ValueError(f"kappa must be finite and >= 0, got kappa={self.kappa}")
-        if not (np.isfinite(self.eps_reg) and self.eps_reg >= 0.0):
-            raise ValueError(f"eps_reg must be finite and >= 0, got eps_reg={self.eps_reg}")
 
 
 def _as_matrix(xi) -> np.ndarray:

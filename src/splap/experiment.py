@@ -200,6 +200,5 @@ def _protocol_dict(cfg: ExperimentConfig) -> dict:
         "u0": cfg.u0,
         "grid_kind": cfg.grid_kind,
         "solver_tol": cfg.solver_tol,
-        "formulation": cfg.formulation,
         "clip_initial": cfg.clip_initial,
     }

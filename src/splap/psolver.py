@@ -12,11 +12,6 @@ the time step with tensor S, so minimizing J and solving the nonlinear
 system are two routes to the same point.  For kappa = 0 the density
 reduces to phi(t) = t**p / p, i.e. the plain p-Dirichlet energy.
 
-A ``componentwise`` formulation is also available in which the energy
-sums phi(|D1 u|) + phi(|D2 u|) per simplex instead of using the
-Euclidean norm of the full gradient; it is kept behind a switch for
-comparison purposes and is not the default.
-
 Solver: boundary unknowns are eliminated by zero extension and the
 reduced problem is solved by damped Newton with Armijo backtracking.
 The state of a point is one product with the mesh's fixed interior
@@ -37,29 +32,28 @@ banded Cholesky call (LAPACK dpbsv); no ordering or symbolic analysis
 runs per iteration.
 
 For p < 2 the energy is not twice differentiable where a gradient
-vanishes, so the solve runs at one smoothing parameter eps (the density
-is evaluated at sqrt(eps**2 + g**2)): the law's ``eps_reg`` when it is
-positive, else 1e-6.  There the Newton matrix is the primal-dual one of
-Chan, Golub and Mulet (SIAM J. Sci. Comput. 20, 1999): a dual flux
-sigma per simplex, which starts as the primal flux S(g) of the start
-point, replaces the primal tensor in the Hessian's rank-one term.
-After each accepted step sigma takes the linearised update of the flux
-and is projected into the ball |sigma| <= (kappa + n)**(p-2) n of the
-new point (n the smoothed norm), which keeps the matrix positive
-definite.  The method is robust in eps, even near the flat zones of
-p < 2 where the primal Hessian changes fastest, so no continuation
-through larger smoothing parameters is needed.  For p >= 2 no
-smoothing is needed either: the solve runs at eps = 0, where the Newton
-matrix is the Hessian.  The line search, gradient and stopping rule
-are those of primal Newton, so the minimizer is the same.
+vanishes, so the solve runs at one smoothing parameter eps = 1e-6 (the
+density is evaluated at sqrt(eps**2 + g**2)).  There the Newton matrix
+is the primal-dual one of Chan, Golub and Mulet (SIAM J. Sci. Comput.
+20, 1999): a dual flux sigma per simplex, which starts as the primal
+flux S(g) of the start point, replaces the primal tensor in the
+Hessian's rank-one term.  After each accepted step sigma takes the
+linearised update of the flux and is projected into the ball
+|sigma| <= (kappa + n)**(p-2) n of the new point (n the smoothed
+norm), which keeps the matrix positive definite.  The method is
+robust in eps, even near the flat zones of p < 2 where the primal
+Hessian changes fastest, so no continuation through larger smoothing
+parameters is needed.  For p >= 2 no smoothing is needed either: the
+solve runs at eps = 0, where the Newton matrix is the Hessian.  The
+line search, gradient and stopping rule are those of primal Newton, so
+the minimizer is the same.
 
 Newton starts from the better, by the objective, of the warm start and
 one linear candidate.  For p >= 2 that is the p = 2 surrogate step
 (P + tau A) u = load; for p < 2 it is one lagged-diffusivity (Kacanov)
 step from the warm start (Diening, Fornasier, Tomasi and Wank, Numer.
 Math. 2020), (P + tau A_s) u = load with A_s the stiffness weighted on
-each simplex by s = (kappa + |grad u_warm|_eps)**(p-2), each
-component's own s in the componentwise formulation.
+each simplex by s = (kappa + |grad u_warm|_eps)**(p-2).
 """
 
 from __future__ import annotations
@@ -77,8 +71,6 @@ ARMIJO_C1 = 1e-4
 HESSIAN_SHIFT = 1e-12
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
-
-_FORMULATIONS = ("euclidean", "componentwise")
 
 
 class SingularityError(ArithmeticError):
@@ -102,14 +94,6 @@ class SolveReport:
     continuation_levels: list[float] = field(default_factory=list)
     objective_trace: list[float] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "iterations": int(self.iterations),
-            "final_grad_norm": float(self.final_grad_norm),
-            "continuation_levels": [float(e) for e in self.continuation_levels],
-            "objective_trace": [float(v) for v in self.objective_trace],
-        }
-
 
 @dataclass(frozen=True)
 class StepProblem:
@@ -119,13 +103,10 @@ class StepProblem:
     params: GrowthParams
     tau_m: float
     forcing: np.ndarray
-    formulation: str = "euclidean"
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.tau_m) and self.tau_m > 0.0):
             raise ValueError(f"tau_m must be positive, got {self.tau_m!r}")
-        if self.formulation not in _FORMULATIONS:
-            raise ValueError(f"formulation must be one of {_FORMULATIONS}, got {self.formulation!r}")
         forcing = np.asarray(self.forcing, dtype=float)
         if forcing.shape != (3 * self.ops.n_simplices,):
             raise ValueError(
@@ -153,12 +134,12 @@ class _Point:
     ``u`` is a private copy of the interior coefficients; ``grads`` the
     (2, ns) gradient components and ``mass_u`` the interior part of P u,
     both read off one product with ``ops.point_op``; ``norms`` the
-    smoothed norms (one column euclidean, two componentwise) and
-    ``scale`` their (kappa + n)**(p-2), set to 0 where that power is
-    singular (p < 2, kappa = eps = 0 and n = 0).  ``size`` is
-    |1/2 u' P u| + tau |sum_j |S_j| phi| + |f' Pt u|, the magnitude of
-    J's terms, which ``objective`` sets; ``residual`` the interior
-    gradient of J, which ``_residual`` forms once and keeps read-only.
+    (ns,) smoothed norms sqrt(eps**2 + |g|**2) and ``scale`` their
+    (kappa + n)**(p-2), set to 0 where that power is singular (p < 2,
+    kappa = eps = 0 and n = 0).  ``size`` is |1/2 u' P u| +
+    tau |sum_j |S_j| phi| + |f' Pt u|, the magnitude of J's terms, which
+    ``objective`` sets; ``residual`` the interior gradient of J, which
+    ``_residual`` forms once and keeps read-only.
     """
 
     u: np.ndarray
@@ -192,10 +173,7 @@ def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
     state = ops.point_op @ u_interior
     grads = state[: 2 * ns].reshape(2, ns)
     g1, g2 = grads
-    if prob.formulation == "euclidean":
-        norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)[:, None]
-    else:
-        norms = np.sqrt(eps * eps + grads * grads).T
+    norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)
     p, kappa = prob.params.p, prob.params.kappa
     if p < 2.0 and kappa == 0.0 and eps == 0.0:
         # S(0) = 0 and phi(0) = 0; gradient and Hessian refuse such a point
@@ -232,7 +210,7 @@ def _form_residual(prob: StepProblem, point: _Point) -> np.ndarray:
 
 
 def _energy(prob: StepProblem, point: _Point) -> float:
-    """sum_j |S_j| phi(n_j) over the norm columns, phi'(t) = (kappa + t)**(p-2) t, phi(0) = 0."""
+    """sum_j |S_j| phi(n_j), phi'(t) = (kappa + t)**(p-2) t, phi(0) = 0."""
     p, kappa = prob.params.p, prob.params.kappa
     n, s = point.norms, point.scale
     if kappa == 0.0:
@@ -243,7 +221,7 @@ def _energy(prob: StepProblem, point: _Point) -> float:
         density = (s * kt * kt - kappa**p) / p - kappa * (s * kt - kappa ** (p - 1.0)) / (p - 1.0)
         if point.eps == 0.0:
             density[n == 0.0] = 0.0  # exactly, not up to the rounding of s
-    return float((prob.ops.areas @ density).sum())
+    return float(prob.ops.areas @ density)
 
 
 def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
@@ -273,8 +251,7 @@ def gradient(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> np.
 
 def _smoothed_tensor(prob: StepProblem, point: _Point) -> np.ndarray:
     """The (2, ns) components (s1, s2) of the tensor of the eps-smoothed energy per simplex."""
-    # one euclidean column scales both components, two scale one each
-    return point.scale.T * point.grads
+    return point.scale * point.grads
 
 
 def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarray:
@@ -287,15 +264,9 @@ def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarra
     # (p-2) (kappa + n)**(p-3) / n, zero where n vanishes
     b = np.divide((p - 2.0) * a, (prob.params.kappa + norms) * norms, out=np.zeros_like(norms), where=norms > 0.0)
     areas = prob.ops.areas
-    if prob.formulation == "euclidean":
-        a0, b0 = a[:, 0], b[:, 0]
-        w11 = areas * (a0 + b0 * g1 * g1)
-        w22 = areas * (a0 + b0 * g2 * g2)
-        w12 = areas * (b0 * g1 * g2)
-    else:
-        w11 = areas * (a[:, 0] + b[:, 0] * g1 * g1)
-        w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
-        w12 = np.zeros_like(w11)
+    w11 = areas * (a + b * g1 * g1)
+    w22 = areas * (a + b * g2 * g2)
+    w12 = areas * (b * g1 * g2)
     pattern = prob.ops.pattern
     return pattern.mass + prob.tau_m * pattern.weighted_stiffness(w11, w12, w22)
 
@@ -304,13 +275,11 @@ def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) ->
     """Interior residual norm of the variational form of the step.
 
     Measures || R (P u + tau sum_i Di' diag(areas) s_i - Pt' f) || with
-    s_i the i-th component of S(grad u) per simplex, S the tensor of the
-    problem's formulation (componentwise: the scalar tensor of each
-    gradient component).  With eps = 0 the unsmoothed tensor is used
-    (continuous zero extension where a norm vanishes); with eps > 0 the
-    tensor of the eps-smoothed energy, the form whose residual the
-    solver drives below tolerance for p < 2.  Either is the gradient of
-    objective(., eps) wherever that exists.
+    s_i the i-th component of S(grad u) per simplex.  With eps = 0 the
+    unsmoothed tensor is used (continuous zero extension where a norm
+    vanishes); with eps > 0 the tensor of the eps-smoothed energy, the
+    form whose residual the solver drives below tolerance for p < 2.
+    Either is the gradient of objective(., eps) wherever that exists.
     """
     return float(np.linalg.norm(_residual(prob, _point(prob, u_interior, eps))))
 
@@ -352,16 +321,13 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, pattern: InteriorPattern) ->
 class _Dual:
     """The dual flux (sigma1, sigma2) per simplex at one point of a smoothed level.
 
-    (s1, c1) and (s2, c2) are s = (kappa + n)**(p-2) and
-    c = (p-2) / (n (kappa + n)) at the smoothed norm n of each gradient
-    component: the one euclidean norm twice, or each component's own.
+    s = (kappa + n)**(p-2) and c = (p-2) / (n (kappa + n)) at the
+    smoothed norm n of the point's gradient.
     """
 
     point: _Point
-    s1: np.ndarray
-    s2: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
 
@@ -369,33 +335,24 @@ class _Dual:
 def _dual(prob: StepProblem, point: _Point, flux: tuple[np.ndarray, np.ndarray] | None = None) -> _Dual:
     """The flux at ``point`` (eps > 0), scaled into the ball |sigma| <= (kappa + n)**(p-2) n.
 
-    Euclidean: one ball for the pair; componentwise: one per component.
     Without ``flux``, the primal flux s g, which lies in the ball.
     """
     p, norms, s = prob.params.p, point.norms, point.scale
     c = (p - 2.0) / (norms * (prob.params.kappa + norms))
-    # the last column is the one euclidean norm, or the second component's
-    s1, s2, c1, c2 = s[:, 0], s[:, -1], c[:, 0], c[:, -1]
     if flux is None:
-        return _Dual(point, s1, s2, c1, c2, s1 * point.g1, s2 * point.g2)
+        return _Dual(point, s, c, s * point.g1, s * point.g2)
     sigma1, sigma2 = flux
     # a radius is at least (kappa + eps)**(p-2) eps > 0: inside the ball
     # the scale is r / r = 1, and a zero flux divides no zero by zero
-    r1 = s1 * norms[:, 0]
-    if prob.formulation == "euclidean":
-        k1 = k2 = r1 / np.maximum(np.sqrt(sigma1 * sigma1 + sigma2 * sigma2), r1)
-    else:
-        r2 = s2 * norms[:, 1]
-        k1 = r1 / np.maximum(np.abs(sigma1), r1)
-        k2 = r2 / np.maximum(np.abs(sigma2), r2)
-    return _Dual(point, s1, s2, c1, c2, sigma1 * k1, sigma2 * k2)
+    r = s * norms
+    k = r / np.maximum(np.sqrt(sigma1 * sigma1 + sigma2 * sigma2), r)
+    return _Dual(point, s, c, sigma1 * k, sigma2 * k)
 
 
 def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
     """Primal-dual Newton matrix at ``dual.point``, a band data vector of ``ops.pattern``.
 
-    Per simplex the weights are |S_j| (s I + c/2 (sigma g' + g sigma'));
-    componentwise, the scalar form of each component and no coupling.
+    Per simplex the weights are |S_j| (s I + c/2 (sigma g' + g sigma')).
     At the primal flux s g this is the Hessian of the smoothed
     objective; inside the ball of _dual each weight is at least
     (p - 1) s, so the matrix is positive definite.
@@ -403,12 +360,9 @@ def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
     g1, g2 = dual.point.g1, dual.point.g2
     sigma1, sigma2 = dual.sigma1, dual.sigma2
     areas = prob.ops.areas
-    w11 = areas * (dual.s1 + dual.c1 * sigma1 * g1)
-    w22 = areas * (dual.s2 + dual.c2 * sigma2 * g2)
-    if prob.formulation == "euclidean":
-        w12 = areas * (0.5 * dual.c1 * (sigma1 * g2 + sigma2 * g1))
-    else:
-        w12 = np.zeros_like(w11)
+    w11 = areas * (dual.s + dual.c * sigma1 * g1)
+    w22 = areas * (dual.s + dual.c * sigma2 * g2)
+    w12 = areas * (0.5 * dual.c * (sigma1 * g2 + sigma2 * g1))
     pattern = prob.ops.pattern
     return pattern.mass + prob.tau_m * pattern.weighted_stiffness(w11, w12, w22)
 
@@ -416,12 +370,9 @@ def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
 def _dual_step(prob: StepProblem, dual: _Dual, new: _Point) -> _Dual:
     """sigma <- s g' + c sigma (g . (g' - g)) from ``dual.point`` to ``new``, projected at ``new``."""
     old = dual.point
-    t1 = old.g1 * (new.g1 - old.g1)
-    t2 = old.g2 * (new.g2 - old.g2)
-    if prob.formulation == "euclidean":
-        t1 = t2 = t1 + t2
-    sigma1 = dual.s1 * new.g1 + dual.c1 * t1 * dual.sigma1
-    sigma2 = dual.s2 * new.g2 + dual.c2 * t2 * dual.sigma2
+    t = old.g1 * (new.g1 - old.g1) + old.g2 * (new.g2 - old.g2)
+    sigma1 = dual.s * new.g1 + dual.c * t * dual.sigma1
+    sigma2 = dual.s * new.g2 + dual.c * t * dual.sigma2
     return _dual(prob, new, (sigma1, sigma2))
 
 
@@ -480,16 +431,16 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
 def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray:
     """Start candidate: the solve of (P + tau A_s) u = load.
 
-    A_s is the stiffness weighted per simplex by ``scale`` (one column
-    euclidean, one per gradient component componentwise), or without it
-    the p = 2 stiffness A.
+    A_s is the stiffness weighted per simplex by ``scale``, or without
+    it the p = 2 stiffness A.
     """
     pattern = prob.ops.pattern
     if scale is None:
         stiffness = pattern.stiffness
     else:
         areas = prob.ops.areas
-        stiffness = pattern.weighted_stiffness(areas * scale[:, 0], np.zeros_like(areas), areas * scale[:, -1])
+        weight = areas * scale
+        stiffness = pattern.weighted_stiffness(weight, np.zeros_like(areas), weight)
     u = splu(pattern, pattern.mass + prob.tau_m * stiffness, prob._load_interior)
     if u is None:
         raise ConvergenceError("presolve factorization failed")
@@ -515,9 +466,9 @@ def solve_step(
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     warm_start = _check_interior(prob, warm_start)
-    # p >= 2 needs no smoothing; p < 2 takes the law's eps_reg, if any
-    params = prob.params
-    eps = 0.0 if params.p >= 2.0 else (params.eps_reg if params.eps_reg > 0.0 else EPS_FINAL)
+    # p >= 2 needs no smoothing
+    p = prob.params.p
+    eps = 0.0 if p >= 2.0 else EPS_FINAL
 
     # A linear start candidate is a far better starting point than a
     # cold warm start (large steps otherwise send Newton on a slow trek
@@ -532,7 +483,7 @@ def solve_step(
     trace: list[float] = []
     try:
         target = tol * (1.0 + float(np.linalg.norm(gradient(prob, warm_start, eps))))
-        pre = _presolve(prob, warm.scale if params.p < 2.0 else None)
+        pre = _presolve(prob, warm.scale if p < 2.0 else None)
         if objective(prob, pre, eps) < f_warm:
             u = pre
         else:

@@ -46,7 +46,6 @@ class SchemeConfig:
     path: NoisePath
     initial: np.ndarray
     solver_tol: float = 1e-9
-    formulation: str = "euclidean"
     clip_initial: bool = False
 
     def __post_init__(self) -> None:
@@ -60,8 +59,6 @@ class SchemeConfig:
         object.__setattr__(self, "initial", initial)
         if not (np.isfinite(self.solver_tol) and self.solver_tol > 0.0):
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol!r}")
-        if self.formulation not in ("euclidean", "componentwise"):
-            raise ValueError(f"unknown formulation {self.formulation!r}")
 
 
 @dataclass
@@ -115,7 +112,6 @@ def run_trajectory(cfg: SchemeConfig) -> Trajectory:
             params=cfg.params,
             tau_m=float(pts[m] - pts[m - 1]),
             forcing=forcing,
-            formulation=cfg.formulation,
         )
         warm = states[m - 1][ops.interior]
         try:

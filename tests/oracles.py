@@ -152,10 +152,7 @@ def smoothed_norms(prob, u_full, eps):
     d1, d2 = prob.ops.dgrad
     g1 = d1 @ u_full
     g2 = d2 @ u_full
-    if prob.formulation == "euclidean":
-        norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)[:, None]
-    else:
-        norms = np.column_stack([np.sqrt(eps * eps + g1 * g1), np.sqrt(eps * eps + g2 * g2)])
+    norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)
     return g1, g2, norms
 
 
@@ -170,7 +167,7 @@ def objective(prob, u_interior, eps=0.0):
     p, kappa = prob.params.p, prob.params.kappa
     _, _, norms = smoothed_norms(prob, u, eps)
     with np.errstate(over="ignore"):
-        density = energy_density(norms, p, kappa).sum(axis=1)
+        density = energy_density(norms, p, kappa)
         quad = 0.5 * float(u @ (prob.ops.mass @ u))
         return quad + prob.tau_m * float(prob.ops.areas @ density) - float(prob.load @ u)
 
@@ -183,8 +180,8 @@ def gradient(prob, u_interior, eps=0.0):
     g1, g2, norms = smoothed_norms(prob, u, eps)
     _raise_if_singular(norms, p, eps)
     scale = (kappa + norms) ** (p - 2.0)
-    w1 = scale[:, 0] * g1
-    w2 = scale[:, 0 if prob.formulation == "euclidean" else 1] * g2
+    w1 = scale * g1
+    w2 = scale * g2
     areas = prob.ops.areas
     r = prob.ops.mass @ u + prob.tau_m * (d1.T @ (areas * w1) + d2.T @ (areas * w2)) - prob.load
     return r[prob.ops.interior]
@@ -202,15 +199,9 @@ def hessian(prob, u_interior, eps):
     pos = norms > 0.0
     b[pos] = (p - 2.0) * base[pos] ** (p - 3.0) / norms[pos]
     areas = prob.ops.areas
-    if prob.formulation == "euclidean":
-        a0, b0 = a[:, 0], b[:, 0]
-        w11 = areas * (a0 + b0 * g1 * g1)
-        w22 = areas * (a0 + b0 * g2 * g2)
-        w12 = areas * (b0 * g1 * g2)
-    else:
-        w11 = areas * (a[:, 0] + b[:, 0] * g1 * g1)
-        w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
-        w12 = np.zeros_like(w11)
+    w11 = areas * (a + b * g1 * g1)
+    w22 = areas * (a + b * g2 * g2)
+    w12 = areas * (b * g1 * g2)
     # per simplex, gx (x) (w11 gx + w12 gy) + gy (x) (w12 gx + w22 gy)
     gx, gy = prob.ops.basis_grad
     hx = w11[:, None] * gx + w12[:, None] * gy
@@ -227,12 +218,7 @@ def kkt_residual(prob, u_interior, eps=0.0):
     u = prob.ops.prolong(u_interior)
     d1, d2 = prob.ops.dgrad
     g = np.column_stack([d1 @ u, d2 @ u])
-    if prob.formulation == "componentwise":
-        # the scalar tensor of each component, zero where it vanishes
-        s = np.zeros_like(g)
-        nz = g != 0.0
-        s[nz] = (prob.params.kappa + np.sqrt(eps * eps + g[nz] * g[nz])) ** (prob.params.p - 2.0) * g[nz]
-    elif eps == 0.0:
+    if eps == 0.0:
         s = tensor_s_rows(g, prob.params)
     else:
         base = prob.params.kappa + np.sqrt(eps * eps + np.sum(g * g, axis=1))
@@ -250,8 +236,6 @@ PRIMAL_EPS_SCHEDULE = (1e-2, 1e-4, 1e-6)
 def _primal_schedule(params):
     if params.p >= 2.0:
         return [0.0]
-    if params.eps_reg > 0.0:
-        return [e for e in PRIMAL_EPS_SCHEDULE if e > params.eps_reg] + [params.eps_reg]
     return list(PRIMAL_EPS_SCHEDULE)
 
 
@@ -325,7 +309,6 @@ def replicate_errors(cfg, p, r):
             path=path,
             initial=initial,
             solver_tol=cfg.solver_tol,
-            formulation=cfg.formulation,
             clip_initial=cfg.clip_initial,
         )
 

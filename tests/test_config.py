@@ -1,9 +1,13 @@
 """Tests for experiment configuration parsing, validation, and echo."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from splap.config import (
+    _KEYMAP,
     ConfigError,
     ExperimentConfig,
     echo_config,
@@ -68,9 +72,24 @@ def test_parse_config_keys_and_fractions():
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ConfigError) as err:
-        parse_config("not_a_key = 3\n")
-    assert "not_a_key" in str(err.value)
+    # the energy has one formulation, the Euclidean one, and no key for it
+    for text, key in (
+        ("not_a_key = 3\n", "not_a_key"),
+        ("formulation = componentwise\n", "formulation"),
+        ("formulation = euclidean\n", "formulation"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert repr(key) in str(err.value)
+
+
+def test_readme_key_list_matches_config():
+    # the README's key list under "Running an experiment" names every
+    # config key, in the order of the config module's table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Running an experiment", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("for the authoritative table):", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(_KEYMAP)
 
 
 def test_parse_config_rejects_duplicate_key():
@@ -101,7 +120,6 @@ def test_validate_rejects_bad_entries():
         "solver_tol = 0\n",
         "grid_kind = sideways\n",
         "noise_mode = bogus\n",
-        "formulation = polar\n",
         "T = -1\n",
     ):
         with pytest.raises(ConfigError):

@@ -17,7 +17,7 @@ from splap.constitutive import (
 def test_growth_params_validation():
     GrowthParams(1.1)
     GrowthParams(2.0, kappa=1.0)
-    GrowthParams(4.0, kappa=0.0, eps_reg=1e-6)
+    GrowthParams(4.0, kappa=0.0)
     with pytest.raises(ValueError):
         GrowthParams(1.0)
     with pytest.raises(ValueError):
@@ -26,8 +26,6 @@ def test_growth_params_validation():
         GrowthParams(float("nan"))
     with pytest.raises(ValueError):
         GrowthParams(2.0, kappa=-1.0)
-    with pytest.raises(ValueError):
-        GrowthParams(2.0, eps_reg=-1e-3)
 
 
 def test_tensor_s_p2_is_identity():

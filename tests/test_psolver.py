@@ -41,7 +41,7 @@ from splap.stepper import SchemeConfig, run_trajectory
 from splap.stochastics import sample_path, uniform_time_grid
 
 
-def random_problem(rng, n=4, p=2.0, kappa=0.0, tau=0.1, formulation="euclidean"):
+def random_problem(rng, n=4, p=2.0, kappa=0.0, tau=0.1):
     ops = assemble(generate_unit_square(n))
     forcing = rng.standard_normal(3 * ops.n_simplices)
     return StepProblem(
@@ -49,7 +49,6 @@ def random_problem(rng, n=4, p=2.0, kappa=0.0, tau=0.1, formulation="euclidean")
         params=GrowthParams(p, kappa=kappa),
         tau_m=tau,
         forcing=forcing,
-        formulation=formulation,
     )
 
 
@@ -74,31 +73,22 @@ def sparse_product_hessian(prob, u_interior, eps):
     d1, d2 = ops.dgrad
     g1 = d1 @ u
     g2 = d2 @ u
-    if prob.formulation == "euclidean":
-        norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)[:, None]
-    else:
-        norms = np.column_stack([np.sqrt(eps * eps + g1 * g1), np.sqrt(eps * eps + g2 * g2)])
+    norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)
     base = kappa + norms
     a = base ** (p - 2.0)
     b = np.zeros_like(norms)
     pos = norms > 0.0
     b[pos] = (p - 2.0) * base[pos] ** (p - 3.0) / norms[pos]
     areas = ops.areas
-    if prob.formulation == "euclidean":
-        a0, b0 = a[:, 0], b[:, 0]
-        w11 = areas * (a0 + b0 * g1 * g1)
-        w22 = areas * (a0 + b0 * g2 * g2)
-        w12 = areas * (b0 * g1 * g2)
-        h = (
-            d1.T @ d1.multiply(w11[:, None])
-            + d2.T @ d2.multiply(w22[:, None])
-            + d1.T @ d2.multiply(w12[:, None])
-            + d2.T @ d1.multiply(w12[:, None])
-        )
-    else:
-        w11 = areas * (a[:, 0] + b[:, 0] * g1 * g1)
-        w22 = areas * (a[:, 1] + b[:, 1] * g2 * g2)
-        h = d1.T @ d1.multiply(w11[:, None]) + d2.T @ d2.multiply(w22[:, None])
+    w11 = areas * (a + b * g1 * g1)
+    w22 = areas * (a + b * g2 * g2)
+    w12 = areas * (b * g1 * g2)
+    h = (
+        d1.T @ d1.multiply(w11[:, None])
+        + d2.T @ d2.multiply(w22[:, None])
+        + d1.T @ d2.multiply(w12[:, None])
+        + d2.T @ d1.multiply(w12[:, None])
+    )
     full = ops.mass + prob.tau_m * h
     interior = ops.interior
     return full.tocsr()[interior, :].tocsc()[:, interior]
@@ -116,8 +106,6 @@ def test_step_problem_validation():
         StepProblem(ops=ops, params=params, tau_m=0.0, forcing=good)
     with pytest.raises(ValueError):
         StepProblem(ops=ops, params=params, tau_m=0.1, forcing=good[:-1])
-    with pytest.raises(ValueError):
-        StepProblem(ops=ops, params=params, tau_m=0.1, forcing=good, formulation="other")
     bad = good.copy()
     bad[0] = np.inf
     with pytest.raises(ValueError):
@@ -165,11 +153,10 @@ def test_objective_single_triangle_hand_quadrature():
     assert np.isclose(objective(prob, w), expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.5, 4.0])
-def test_gradient_matches_finite_differences(p, formulation):
+def test_gradient_matches_finite_differences(p):
     rng = np.random.default_rng(int(10 * p))
-    prob = random_problem(rng, n=4, p=p, tau=0.15, formulation=formulation)
+    prob = random_problem(rng, n=4, p=p, tau=0.15)
     n_i = prob.ops.n_interior
     for eps in (1e-2, 1e-4):
         u = rng.standard_normal(n_i) * 0.5
@@ -283,17 +270,13 @@ def test_solve_report_objective_trace_non_increasing():
 
 
 def test_solve_step_continuation_schedule():
-    # one smoothing level per solve: 1e-6 for p < 2, the law's own eps_reg
-    # when it sets one, and the unsmoothed energy for p >= 2
+    # one smoothing level per solve: 1e-6 for p < 2 and the unsmoothed
+    # energy for p >= 2
     rng = np.random.default_rng(4)
     prob = random_problem(rng, n=3, p=1.5, tau=0.1)
     _, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=1e-9)
     assert EPS_FINAL == 1e-6
     assert report.continuation_levels == [1e-6]
-    reg = dataclasses.replace(prob, params=GrowthParams(1.5, eps_reg=3e-4))
-    u_reg, report_reg = solve_step(reg, np.zeros(reg.ops.n_interior), tol=1e-9)
-    assert report_reg.continuation_levels == [3e-4]
-    assert np.isclose(report_reg.final_grad_norm, kkt_residual(reg, u_reg, 3e-4), rtol=1e-12, atol=0.0)
     prob2 = random_problem(rng, n=3, p=2.5, tau=0.1)
     _, report2 = solve_step(prob2, np.zeros(prob2.ops.n_interior), tol=1e-9)
     assert report2.continuation_levels == [0.0]
@@ -313,23 +296,21 @@ def test_kkt_residual_at_solution():
     # tolerance scale; for p < 2 the smoothed Hessian carries weights of
     # order eps^{p-3}, so tolerances below the float resolution of the
     # objective are unreachable and the contract is exercised at a
-    # tolerance above that floor.  The residual measures the tensor of
-    # the problem's own formulation.
-    for formulation in ("euclidean", "componentwise"):
-        rng = np.random.default_rng(6)
-        for p, tol in ((1.1, 1e-5), (1.5, 1e-6), (2.0, 1e-9), (2.5, 1e-9)):
-            prob = random_problem(rng, n=4, p=p, tau=0.2, formulation=formulation)
-            eps_final = EPS_FINAL if p < 2 else 0.0
-            u, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=tol)
-            scale = 1.0 + np.linalg.norm(gradient(prob, np.zeros(prob.ops.n_interior), eps=eps_final))
-            assert kkt_residual(prob, u, eps=eps_final) <= 10.0 * tol * scale
-            # the smoothed residual is exactly the gradient norm of the
-            # smoothed objective, which the report records
-            assert np.isclose(
-                kkt_residual(prob, u, eps=eps_final), report.final_grad_norm, rtol=1e-12, atol=0.0
-            )
-            # random non-optimal points have strictly positive residual
-            assert kkt_residual(prob, u + 0.1) > 1e-4
+    # tolerance above that floor.
+    rng = np.random.default_rng(6)
+    for p, tol in ((1.1, 1e-5), (1.5, 1e-6), (2.0, 1e-9), (2.5, 1e-9)):
+        prob = random_problem(rng, n=4, p=p, tau=0.2)
+        eps_final = EPS_FINAL if p < 2 else 0.0
+        u, report = solve_step(prob, np.zeros(prob.ops.n_interior), tol=tol)
+        scale = 1.0 + np.linalg.norm(gradient(prob, np.zeros(prob.ops.n_interior), eps=eps_final))
+        assert kkt_residual(prob, u, eps=eps_final) <= 10.0 * tol * scale
+        # the smoothed residual is exactly the gradient norm of the
+        # smoothed objective, which the report records
+        assert np.isclose(
+            kkt_residual(prob, u, eps=eps_final), report.final_grad_norm, rtol=1e-12, atol=0.0
+        )
+        # random non-optimal points have strictly positive residual
+        assert kkt_residual(prob, u + 0.1) > 1e-4
 
 
 def test_kkt_residual_float_floor_for_degenerate_p():
@@ -383,31 +364,6 @@ def test_objective_convexity(p):
         assert mid <= avg + 1e-12 * (1.0 + abs(avg))
 
 
-def test_formulations_agree_at_p2():
-    rng = np.random.default_rng(9)
-    ops = assemble(generate_unit_square(4))
-    forcing = rng.standard_normal(3 * ops.n_simplices)
-    kwargs = dict(ops=ops, params=GrowthParams(2.0), tau_m=0.2, forcing=forcing)
-    pe = StepProblem(formulation="euclidean", **kwargs)
-    pc = StepProblem(formulation="componentwise", **kwargs)
-    w = rng.standard_normal(ops.n_interior)
-    assert np.isclose(objective(pe, w), objective(pc, w), rtol=1e-12)
-    ue, _ = solve_step(pe, np.zeros_like(w), tol=1e-11)
-    uc, _ = solve_step(pc, np.zeros_like(w), tol=1e-11)
-    assert np.allclose(ue, uc, rtol=1e-9, atol=1e-12)
-
-
-def test_formulations_differ_away_from_p2():
-    rng = np.random.default_rng(10)
-    ops = assemble(generate_unit_square(4))
-    forcing = rng.standard_normal(3 * ops.n_simplices)
-    kwargs = dict(ops=ops, params=GrowthParams(1.5), tau_m=0.5, forcing=forcing)
-    pe = StepProblem(formulation="euclidean", **kwargs)
-    pc = StepProblem(formulation="componentwise", **kwargs)
-    w = rng.standard_normal(ops.n_interior)
-    assert not np.isclose(objective(pe, w), objective(pc, w), rtol=1e-6)
-
-
 def test_solver_tolerance_validation():
     rng = np.random.default_rng(11)
     prob = random_problem(rng, n=2)
@@ -417,17 +373,12 @@ def test_solver_tolerance_validation():
         gradient(prob, np.zeros(prob.ops.n_interior), eps=-1.0)
 
 
-HESSIAN_CASES = [
-    (p, formulation, eps)
-    for p in (1.1, 1.5, 2.5)
-    for formulation in ("euclidean", "componentwise")
-    for eps in (1e-2, 1e-6)
-] + [(2.5, "euclidean", 0.0), (2.5, "componentwise", 0.0)]
+HESSIAN_CASES = [(p, eps) for p in (1.1, 1.5, 2.5) for eps in (1e-2, 1e-6)] + [(2.5, 0.0)]
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
-@pytest.mark.parametrize("p, formulation, eps", HESSIAN_CASES)
-def test_hessian_matches_sparse_product_oracle(mesh_name, p, formulation, eps):
+@pytest.mark.parametrize("p, eps", HESSIAN_CASES)
+def test_hessian_matches_sparse_product_oracle(mesh_name, p, eps):
     ops = assemble(oracle_meshes()[mesh_name])
     rng = np.random.default_rng(int(100 * p) + int(eps == 0.0))
     prob = StepProblem(
@@ -435,7 +386,6 @@ def test_hessian_matches_sparse_product_oracle(mesh_name, p, formulation, eps):
         params=GrowthParams(p),
         tau_m=0.3,
         forcing=rng.standard_normal(3 * ops.n_simplices),
-        formulation=formulation,
     )
     for _ in range(3):
         u = rng.standard_normal(ops.n_interior)
@@ -477,30 +427,27 @@ def test_presolve_system_matches_restricted_operators(mesh_name, monkeypatch):
     )
     np.testing.assert_allclose(u, linear_oracle(prob), rtol=1e-10, atol=1e-12)
     # the lagged-diffusivity start: the stiffness weighted per simplex by
-    # s = (kappa + |grad u_warm|_eps)**(p-2), each component's own s
-    # componentwise, R (P + tau sum_i Di' diag(|S_j| s_i) Di) R'
+    # s = (kappa + |grad u_warm|_eps)**(p-2), R (P + tau sum_i Di' diag(|S_j| s) Di) R'
     d1, d2 = ops.dgrad
-    for formulation in ("euclidean", "componentwise"):
-        lagged = dataclasses.replace(prob, params=GrowthParams(1.5, kappa=0.3), formulation=formulation)
-        warm = rng.standard_normal(ops.n_interior)
-        g1, g2, norms = oracles.smoothed_norms(lagged, ops.prolong(warm), EPS_FINAL)
-        s = (0.3 + norms) ** -0.5
-        weighted = d1.T @ sp.diags(ops.areas * s[:, 0]) @ d1 + d2.T @ sp.diags(ops.areas * s[:, -1]) @ d2
-        system = r @ (ops.mass + lagged.tau_m * weighted) @ r.T
-        factored.clear()
-        u = _presolve(lagged, _point(lagged, warm, EPS_FINAL).scale)
-        assert len(factored) == 1
-        dense = system.toarray()
-        np.testing.assert_allclose(
-            band_to_dense(ops.pattern, factored[0]), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max()
-        )
-        expected = spla.spsolve(sp.csc_matrix(system), r @ lagged.load)
-        np.testing.assert_allclose(u, expected, rtol=1e-10, atol=1e-12)
+    lagged = dataclasses.replace(prob, params=GrowthParams(1.5, kappa=0.3))
+    warm = rng.standard_normal(ops.n_interior)
+    g1, g2, norms = oracles.smoothed_norms(lagged, ops.prolong(warm), EPS_FINAL)
+    s = (0.3 + norms) ** -0.5
+    weighted = d1.T @ sp.diags(ops.areas * s) @ d1 + d2.T @ sp.diags(ops.areas * s) @ d2
+    system = r @ (ops.mass + lagged.tau_m * weighted) @ r.T
+    factored.clear()
+    u = _presolve(lagged, _point(lagged, warm, EPS_FINAL).scale)
+    assert len(factored) == 1
+    dense = system.toarray()
+    np.testing.assert_allclose(
+        band_to_dense(ops.pattern, factored[0]), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max()
+    )
+    expected = spla.spsolve(sp.csc_matrix(system), r @ lagged.load)
+    np.testing.assert_allclose(u, expected, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
-def test_hessian_columns_match_finite_differences(p, formulation):
+def test_hessian_columns_match_finite_differences(p):
     ops = assemble(jittered_mesh(5, seed=7))
     rng = np.random.default_rng(int(10 * p))
     prob = StepProblem(
@@ -508,7 +455,6 @@ def test_hessian_columns_match_finite_differences(p, formulation):
         params=GrowthParams(p),
         tau_m=0.2,
         forcing=rng.standard_normal(3 * ops.n_simplices),
-        formulation=formulation,
     )
     eps = 1e-2
     u = rng.standard_normal(ops.n_interior)
@@ -550,10 +496,9 @@ def assert_matches(fast, oracle):
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
 @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
-def test_point_evaluations_match_oracles(mesh_name, formulation, eps, p):
+def test_point_evaluations_match_oracles(mesh_name, eps, p):
     # the gathered per-point state against the parent's sparse-product
     # evaluations; fresh and reused states alike
     ops = assemble(oracle_meshes()[mesh_name])
@@ -563,7 +508,6 @@ def test_point_evaluations_match_oracles(mesh_name, formulation, eps, p):
         params=GrowthParams(p, kappa=0.3 if p == 1.5 else 0.0),
         tau_m=0.3,
         forcing=rng.standard_normal(3 * ops.n_simplices),
-        formulation=formulation,
     )
     # both meshes have corner simplices with three boundary vertices,
     # where the gradient vanishes: at eps = 0, p < 2 is singular there
@@ -594,8 +538,7 @@ def test_kkt_residual_zero_extension_at_vanishing_gradients():
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
-def test_singular_point_evaluations_raise_no_warning(formulation, kappa):
+def test_singular_point_evaluations_raise_no_warning(kappa):
     # at u = 0 every gradient vanishes: phi(0) = 0 and S(0) = 0 without
     # a floating-point warning, where the derivatives at eps = 0 refuse
     rng = np.random.default_rng(20)
@@ -607,7 +550,6 @@ def test_singular_point_evaluations_raise_no_warning(formulation, kappa):
             params=GrowthParams(p, kappa=kappa),
             tau_m=0.2,
             forcing=rng.standard_normal(3 * ops.n_simplices),
-            formulation=formulation,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -639,17 +581,13 @@ def test_kept_residual_is_read_only():
 
 
 INTERIOR_OPERATOR_CASES = [
-    (p, kappa, formulation, eps)
-    for p in (1.1, 1.5, 2.5)
-    for kappa in (0.0, 0.3)
-    for formulation in ("euclidean", "componentwise")
-    for eps in (0.0, 1e-6, 1e-2)
+    (p, kappa, eps) for p in (1.1, 1.5, 2.5) for kappa in (0.0, 0.3) for eps in (0.0, 1e-6, 1e-2)
 ]
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
-@pytest.mark.parametrize("p, kappa, formulation, eps", INTERIOR_OPERATOR_CASES)
-def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, formulation, eps):
+@pytest.mark.parametrize("p, kappa, eps", INTERIOR_OPERATOR_CASES)
+def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, eps):
     # each product with a fixed interior operator against the CSR
     # products of the mesh's operators and the bincount sums it replaced
     ops = assemble(oracle_meshes()[mesh_name])
@@ -659,7 +597,6 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
         params=GrowthParams(p, kappa=kappa),
         tau_m=0.3,
         forcing=rng.standard_normal(3 * ops.n_simplices),
-        formulation=formulation,
     )
     u = rng.standard_normal(ops.n_interior)
     u_full = ops.prolong(u)
@@ -682,9 +619,9 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
     # products: the weighted stiffness of per-simplex weights built from
     # the point's scale and gradient
     scale = point.scale
-    w11 = areas * scale[:, 0] * (1.0 + point.g1 * point.g1)
+    w11 = areas * scale * (1.0 + point.g1 * point.g1)
     w12 = areas * point.g1 * point.g2
-    w22 = areas * scale[:, -1] * (1.0 + point.g2 * point.g2)
+    w22 = areas * scale * (1.0 + point.g2 * point.g2)
     fast = ops.pattern.weighted_stiffness(w11, w12, w22)
     assert_matches(fast, oracles.bincount_weighted_stiffness(ops, w11, w12, w22))
     r = ops.restriction
@@ -701,8 +638,7 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
     np.testing.assert_allclose(band_to_dense(ops.pattern, fast), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
-def test_point_reuse_is_keyed_on_value_and_eps(formulation):
+def test_point_reuse_is_keyed_on_value_and_eps():
     ops = assemble(jittered_mesh(6, seed=4))
     rng = np.random.default_rng(18)
     prob = StepProblem(
@@ -710,7 +646,6 @@ def test_point_reuse_is_keyed_on_value_and_eps(formulation):
         params=GrowthParams(1.5),
         tau_m=0.2,
         forcing=rng.standard_normal(3 * ops.n_simplices),
-        formulation=formulation,
     )
     eps = 1e-2
     u = rng.standard_normal(ops.n_interior)
@@ -766,7 +701,7 @@ def smooth_forcing(ops, rng):
     return v[ops.mesh.simplices].ravel() + 0.3 * rng.standard_normal(3 * ops.n_simplices)
 
 
-def smoothed_problem(mesh_name, p, kappa, formulation, tau, seed):
+def smoothed_problem(mesh_name, p, kappa, tau, seed):
     ops = assemble(oracle_meshes()[mesh_name])
     rng = np.random.default_rng(seed)
     prob = StepProblem(
@@ -774,24 +709,17 @@ def smoothed_problem(mesh_name, p, kappa, formulation, tau, seed):
         params=GrowthParams(p, kappa=kappa),
         tau_m=tau,
         forcing=smooth_forcing(ops, rng),
-        formulation=formulation,
     )
     return prob, rng
 
 
-PRIMAL_DUAL_CASES = [
-    (p, kappa, formulation, tau)
-    for p in (1.1, 1.2, 1.5)
-    for kappa in (0.0, 0.3)
-    for formulation in ("euclidean", "componentwise")
-    for tau in (0.02, 0.5)
-]
+PRIMAL_DUAL_CASES = [(p, kappa, tau) for p in (1.1, 1.2, 1.5) for kappa in (0.0, 0.3) for tau in (0.02, 0.5)]
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
-@pytest.mark.parametrize("p, kappa, formulation, tau", PRIMAL_DUAL_CASES)
-def test_primal_dual_solve_matches_primal_oracle(mesh_name, p, kappa, formulation, tau):
-    prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, tau, seed=int(100 * p + 10 * kappa + 1000 * tau))
+@pytest.mark.parametrize("p, kappa, tau", PRIMAL_DUAL_CASES)
+def test_primal_dual_solve_matches_primal_oracle(mesh_name, p, kappa, tau):
+    prob, rng = smoothed_problem(mesh_name, p, kappa, tau, seed=int(100 * p + 10 * kappa + 1000 * tau))
     warm = rng.standard_normal(prob.ops.n_interior)
     eps = EPS_FINAL
     # above the float floor of the stopping rule the target is reached
@@ -810,9 +738,8 @@ def test_primal_dual_solve_matches_primal_oracle(mesh_name, p, kappa, formulatio
     assert gap <= (kkt_residual(prob, u, eps) + kkt_residual(prob, u_primal, eps)) / modulus
 
 
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
 @pytest.mark.parametrize("seed", range(4))
-def test_float_floor_scales_with_the_objective(formulation, seed):
+def test_float_floor_scales_with_the_objective(seed):
     # white-noise forcing flattens a p = 1.1, tau = 0.5 step to u ~ 1e-8
     # and J ~ 1e-7; a floor of 1e-15 (1 + |J|) would stop Newton at some
     # 30 to 130 times the target, a floor scaled to J's terms reaches it
@@ -823,7 +750,6 @@ def test_float_floor_scales_with_the_objective(formulation, seed):
         params=GrowthParams(1.1),
         tau_m=0.5,
         forcing=0.1 * rng.standard_normal(3 * ops.n_simplices),
-        formulation=formulation,
     )
     warm = np.zeros(ops.n_interior)
     u, report = solve_step(prob, warm)
@@ -832,21 +758,17 @@ def test_float_floor_scales_with_the_objective(formulation, seed):
     assert report.iterations > 0
 
 
-# the smoothing levels the dual matrix is checked at: the solver's
-# default and larger ones that a law's eps_reg may choose
+# the smoothing levels the dual matrix is checked at: the solver's own
+# and larger ones
 SMOOTHING_EPS = (1e-2, 1e-4, EPS_FINAL)
 
-DUAL_MATRIX_CASES = [
-    (p, kappa, formulation)
-    for p, kappa in ((1.1, 0.0), (1.2, 0.3), (1.5, 0.0), (1.5, 0.3))
-    for formulation in ("euclidean", "componentwise")
-]
+DUAL_MATRIX_CASES = [(1.1, 0.0), (1.2, 0.3), (1.5, 0.0), (1.5, 0.3)]
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
-@pytest.mark.parametrize("p, kappa, formulation", DUAL_MATRIX_CASES)
-def test_dual_matrix_at_primal_flux_is_the_hessian(mesh_name, p, kappa, formulation):
-    prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, 0.3, seed=int(100 * p + 10 * kappa))
+@pytest.mark.parametrize("p, kappa", DUAL_MATRIX_CASES)
+def test_dual_matrix_at_primal_flux_is_the_hessian(mesh_name, p, kappa):
+    prob, rng = smoothed_problem(mesh_name, p, kappa, 0.3, seed=int(100 * p + 10 * kappa))
     for eps in SMOOTHING_EPS:
         u = rng.standard_normal(prob.ops.n_interior)
         point = _point(prob, u, eps)
@@ -857,34 +779,27 @@ def test_dual_matrix_at_primal_flux_is_the_hessian(mesh_name, p, kappa, formulat
 
 
 def flux_radius_and_size(prob, point, sigma1, sigma2):
-    """(kappa + n)**(p-2) n and |sigma| per norm column of ``point``."""
+    """(kappa + n)**(p-2) n and |sigma| per simplex of ``point``."""
     norms = point.norms
     radius = (prob.params.kappa + norms) ** (prob.params.p - 2.0) * norms
-    sigma = np.column_stack([sigma1, sigma2])
-    if prob.formulation == "euclidean":
-        return radius, np.linalg.norm(sigma, axis=1)[:, None]
-    return radius, np.abs(sigma)
+    return radius, np.linalg.norm(np.column_stack([sigma1, sigma2]), axis=1)
 
 
 def random_flux(prob, point, rng, fraction):
     """Fluxes of ``fraction`` times the ball's radius, in random directions."""
     radius, _ = flux_radius_and_size(prob, point, point.g1, point.g2)
-    ns = radius.shape[0]
-    if prob.formulation == "euclidean":
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=ns)
-        sigma = (radius * fraction) * np.column_stack([np.cos(angle), np.sin(angle)])
-    else:
-        sigma = radius * fraction * rng.choice([-1.0, 1.0], size=(ns, 2))
-    return sigma[:, 0], sigma[:, 1]
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=radius.shape[0])
+    length = radius * fraction
+    return length * np.cos(angle), length * np.sin(angle)
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
-@pytest.mark.parametrize("p, kappa, formulation", DUAL_MATRIX_CASES)
-def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa, formulation):
+@pytest.mark.parametrize("p, kappa", DUAL_MATRIX_CASES)
+def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa):
     # inside the ball every simplex weight is at least (p - 1) s, so the
     # matrix minus P + tau (p - 1) sum_j |S_j| s_j (gx gx' + gy gy') is
     # positive semidefinite and the band factors
-    prob, rng = smoothed_problem(mesh_name, p, kappa, formulation, 0.3, seed=int(100 * p + 10 * kappa) + 1)
+    prob, rng = smoothed_problem(mesh_name, p, kappa, 0.3, seed=int(100 * p + 10 * kappa) + 1)
     pattern = prob.ops.pattern
     for eps in SMOOTHING_EPS:
         u = rng.standard_normal(prob.ops.n_interior)
@@ -902,7 +817,7 @@ def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa, for
         s = (kappa + point.norms) ** (p - 2.0)
         areas = prob.ops.areas
         floor = pattern.mass + prob.tau_m * (p - 1.0) * pattern.weighted_stiffness(
-            areas * s[:, 0], np.zeros_like(areas), areas * s[:, -1]
+            areas * s, np.zeros_like(areas), areas * s
         )
         excess = band_to_dense(pattern, h - floor)
         assert np.linalg.eigvalsh(excess)[0] >= -1e-12 * np.abs(band_to_dense(pattern, h)).max()
@@ -912,13 +827,10 @@ def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa, for
         np.testing.assert_allclose(size, radius, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
-def test_flux_projection_and_update_at_zero(formulation):
+def test_flux_projection_and_update_at_zero():
     # a zero flux and vanishing gradients pass without a floating-point warning
     ops = assemble(generate_unit_square(4))
-    prob = StepProblem(
-        ops=ops, params=GrowthParams(1.1), tau_m=0.2, forcing=np.zeros(3 * ops.n_simplices), formulation=formulation
-    )
+    prob = StepProblem(ops=ops, params=GrowthParams(1.1), tau_m=0.2, forcing=np.zeros(3 * ops.n_simplices))
     zero = np.zeros(ops.n_interior)
     flux = (np.zeros(ops.n_simplices), np.zeros(ops.n_simplices))
     with warnings.catch_warnings():
@@ -934,8 +846,7 @@ def test_flux_projection_and_update_at_zero(formulation):
     assert report.iterations == 0
 
 
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
-def test_dual_flux_stays_in_the_ball_of_each_level(formulation, monkeypatch):
+def test_dual_flux_stays_in_the_ball_of_each_level(monkeypatch):
     # every Newton matrix of a smoothed solve sees a flux inside the ball
     # of its own point at the one level 1e-6; the first one sees the
     # primal flux of the start point
@@ -953,7 +864,7 @@ def test_dual_flux_stays_in_the_ball_of_each_level(formulation, monkeypatch):
     monkeypatch.setattr(splap.psolver, "_dual_hessian", checked)
     for mesh_name in ("structured", "jittered"):
         for p, tau in ((1.1, 0.5), (1.2, 0.02), (1.5, 0.1)):
-            prob, rng = smoothed_problem(mesh_name, p, 0.0, formulation, tau, seed=int(100 * p))
+            prob, rng = smoothed_problem(mesh_name, p, 0.0, tau, seed=int(100 * p))
             seen.clear()
             _, report = solve_step(prob, rng.standard_normal(prob.ops.n_interior))
             assert len(seen) >= report.iterations > 0
@@ -963,8 +874,7 @@ def test_dual_flux_stays_in_the_ball_of_each_level(formulation, monkeypatch):
             np.testing.assert_array_equal(flux, primal)
 
 
-@pytest.mark.parametrize("formulation", ["euclidean", "componentwise"])
-def test_primal_dual_halves_newton_iterations_at_p_1_1(formulation, monkeypatch):
+def test_primal_dual_halves_newton_iterations_at_p_1_1(monkeypatch):
     # the steps of one p = 1.1 trajectory on mesh 16 over T = 1/4 with the
     # default noise, each solved by the primal-dual level loop and by the
     # primal oracle from the same warm start
@@ -987,7 +897,6 @@ def test_primal_dual_halves_newton_iterations_at_p_1_1(formulation, monkeypatch)
             noise=noise,
             path=sample_path(7, horizon, n_steps, 1),
             initial=np.ones(ops.n_vertices),
-            formulation=formulation,
         )
     )
     assert len(steps) == n_steps
