@@ -136,10 +136,10 @@ class _Point:
     both read off one product with ``ops.point_op``; ``norms`` the
     (ns,) smoothed norms sqrt(eps**2 + |g|**2) and ``scale`` their
     (kappa + n)**(p-2), set to 0 where that power is singular (p < 2,
-    kappa = eps = 0 and n = 0).  ``size`` is |1/2 u' P u| +
-    tau |sum_j |S_j| phi| + |f' Pt u|, the magnitude of J's terms, which
-    ``objective`` sets; ``residual`` the interior gradient of J, which
-    ``_residual`` forms once and keeps read-only.
+    kappa = eps = 0 and n = 0).  ``size`` is |1/2 u' P u| + tau sum_j
+    |S_j| (the magnitudes of the terms of phi) + |f' Pt u|, the magnitude
+    of J's terms, which ``objective`` sets; ``residual`` the interior
+    gradient of J, which ``_residual`` forms once and keeps read-only.
     """
 
     u: np.ndarray
@@ -209,29 +209,39 @@ def _form_residual(prob: StepProblem, point: _Point) -> np.ndarray:
     return r
 
 
-def _energy(prob: StepProblem, point: _Point) -> float:
-    """sum_j |S_j| phi(n_j), phi'(t) = (kappa + t)**(p-2) t, phi(0) = 0."""
+def _energy(prob: StepProblem, point: _Point) -> tuple[float, float]:
+    """sum_j |S_j| phi(n_j), phi'(t) = (kappa + t)**(p-2) t, phi(0) = 0, and its size.
+
+    The size sums the magnitudes of the terms each density is formed
+    from, which set its float resolution: for kappa > 0 terms of order
+    kappa**p cancel to kappa**(p-2) n**2 / 2 at small n.
+    """
     p, kappa = prob.params.p, prob.params.kappa
     n, s = point.norms, point.scale
+    areas = prob.ops.areas
     if kappa == 0.0:
-        density = n * n * s / p
-    else:
-        # (kt**p - kappa**p) / p - kappa (kt**(p-1) - kappa**(p-1)) / (p-1)
-        kt = kappa + n
-        density = (s * kt * kt - kappa**p) / p - kappa * (s * kt - kappa ** (p - 1.0)) / (p - 1.0)
-        if point.eps == 0.0:
-            density[n == 0.0] = 0.0  # exactly, not up to the rounding of s
-    return float(prob.ops.areas @ density)
+        energy = float(areas @ (n * n * s / p))
+        return energy, abs(energy)
+    # (kt**p - kappa**p) / p - kappa (kt**(p-1) - kappa**(p-1)) / (p-1)
+    kt = kappa + n
+    low = s * kt
+    high = low * kt
+    density = (high - kappa**p) / p - kappa * (low - kappa ** (p - 1.0)) / (p - 1.0)
+    if point.eps == 0.0:
+        density[n == 0.0] = 0.0  # exactly, not up to the rounding of s
+    terms = (high + kappa**p) / p + kappa * (low + kappa ** (p - 1.0)) / (p - 1.0)
+    return float(areas @ density), float(areas @ terms)
 
 
 def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
     """J(u) at u = R' u_interior, optionally with eps-smoothed density."""
     point = _point(prob, u_interior, eps)
     with np.errstate(over="ignore"):
-        energy = prob.tau_m * _energy(prob, point)
+        energy, terms = _energy(prob, point)
+        energy = prob.tau_m * energy
         quad = 0.5 * float(point.u @ point.mass_u)
         linear = float(prob._load_interior @ point.u)
-        object.__setattr__(point, "size", abs(quad) + abs(energy) + abs(linear))
+        object.__setattr__(point, "size", abs(quad) + prob.tau_m * terms + abs(linear))
         return quad + energy - linear
 
 

@@ -1,10 +1,11 @@
 """Shared test oracles.
 
-A randomly renumbered mesh, a band densifier, and the step objective,
-its gradient, Hessian and KKT residual as the solver computed them
-before the per-point state: each call prolongs u and runs the CSR
-derivative and mass products itself, and the Hessian sums dense
-per-simplex 3 x 3 blocks into the band.  The per-point gather, the
+A randomly renumbered mesh, a turned copy of a mesh, a band
+densifier, and the step objective, its gradient, Hessian and KKT
+residual as the solver computed them before the per-point state:
+each call prolongs u and runs the CSR derivative and mass products
+itself, and the Hessian sums dense per-simplex 3 x 3 blocks into the
+band.  The per-point gather, the
 residual and the weighted stiffness as the solver computed them before
 the fixed interior operators: nodal values gathered per simplex,
 transposed products and band data summed by ``bincount``.  The step
@@ -55,6 +56,22 @@ def jittered_mesh(n, seed):
     flip = _signed_areas(verts, tris) < 0.0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return make_mesh(verts, tris)
+
+
+def rotated_mesh(mesh, angle):
+    """``mesh`` turned by ``angle`` about the origin: same simplices, same numbering.
+
+    A vertex (x, y) moves to (c x - s y, s x + c y), c = cos(angle),
+    s = sin(angle); a turn keeps every orientation, area and boundary flag.
+    """
+    c, s = np.cos(angle), np.sin(angle)
+    return make_mesh(mesh.vertices @ np.array([[c, s], [-s, c]]), mesh.simplices)
+
+
+def rotate_rows(g1, g2, angle):
+    """The components (c g1 - s g2, s g1 + c g2) of the vectors (g1, g2) turned by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    return c * g1 - s * g2, s * g1 + c * g2
 
 
 def band_to_dense(pattern, data):

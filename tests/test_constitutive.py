@@ -184,3 +184,40 @@ def test_general_matrix_arguments():
     norm = np.sqrt(np.sum(xi * xi))
     assert np.allclose(tensor_s(xi, params), norm * xi, rtol=1e-14)
     assert np.allclose(tensor_f(xi, params), np.sqrt(norm) * xi, rtol=1e-14)
+
+
+def random_orthogonal(rng, n):
+    """An n x n orthogonal matrix: the Q factor of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 4.0])
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_tensors_commute_with_orthogonal_maps(p, kappa):
+    # the Frobenius norm of Q1 xi Q2 is that of xi, so S and F commute
+    # with left and right orthogonal factors, and the quasi distance and
+    # the monotonicity pairing do not see them
+    params = GrowthParams(p, kappa=kappa)
+    rng = np.random.default_rng(int(p * 100) + int(kappa) + 17)
+    for shape in ((1, 2), (2, 2), (2, 3)):
+        for _ in range(20):
+            left, right = random_orthogonal(rng, shape[0]), random_orthogonal(rng, shape[1])
+            xi = rng.uniform(-10.0, 10.0, size=shape)
+            eta = rng.uniform(-10.0, 10.0, size=shape)
+            turned_xi, turned_eta = left @ xi @ right, left @ eta @ right
+            for tensor in (tensor_s, tensor_f):
+                expected = left @ tensor(xi, params) @ right
+                assert np.allclose(tensor(turned_xi, params), expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+            assert np.isclose(
+                quasi_distance_sq(turned_xi, turned_eta, params), quasi_distance_sq(xi, eta, params), rtol=1e-11
+            )
+            assert np.isclose(
+                monotonicity_pairing(turned_xi, turned_eta, params), monotonicity_pairing(xi, eta, params), rtol=1e-11
+            )
+    # row-wise: turning every gradient row by one rotation turns S and F rows
+    rows = rng.standard_normal((200, 2)) * 10.0 ** rng.integers(-3, 2, size=(200, 1))
+    rotation = random_orthogonal(rng, 2)
+    for tensor_rows in (tensor_s_rows, tensor_f_rows):
+        expected = tensor_rows(rows, params) @ rotation
+        np.testing.assert_allclose(tensor_rows(rows @ rotation, params), expected, rtol=1e-12, atol=1e-14)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import band_slots, band_to_dense, jittered_mesh
+from oracles import band_slots, band_to_dense, jittered_mesh, rotated_mesh
 
 from splap.constitutive import GrowthParams
 from splap.fem import (
@@ -216,3 +216,30 @@ def test_basis_gradients_are_the_derivative_rows():
     rows = np.arange(m.n_simplices)[:, None]
     assert np.array_equal(d1.toarray()[rows, m.simplices], gx)
     assert np.array_equal(d2.toarray()[rows, m.simplices], gy)
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("kappa", [0.0, 0.7])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 4.0])
+def test_error_functionals_are_invariant_under_rotation(mesh_name, p, kappa):
+    # the quasi norm measures F of the whole gradient, whose norm a turn
+    # of the mesh keeps: at equal nodal values both error functionals,
+    # the areas and the mass stay, while the gradients turn
+    mesh = generate_unit_square(6) if mesh_name == "structured" else jittered_mesh(6, seed=11)
+    rng = np.random.default_rng(int(100 * p + 10 * kappa))
+    angle = rng.uniform(0.1, 2.0 * np.pi - 0.1)
+    ops, turned = assemble(mesh), assemble(rotated_mesh(mesh, angle))
+    np.testing.assert_allclose(turned.areas, ops.areas, rtol=1e-12)
+    np.testing.assert_allclose(turned.mass.toarray(), ops.mass.toarray(), rtol=1e-12, atol=1e-15)
+    assert np.array_equal(turned.mesh.boundary_vertex_flags, ops.mesh.boundary_vertex_flags)
+    params = GrowthParams(p, kappa=kappa)
+    c, s = np.cos(angle), np.sin(angle)
+    for _ in range(5):
+        u = rng.standard_normal(mesh.n_vertices)
+        v = rng.standard_normal(mesh.n_vertices)
+        grads = gradient_per_simplex(ops, u)
+        np.testing.assert_allclose(
+            gradient_per_simplex(turned, u), grads @ np.array([[c, s], [-s, c]]), rtol=1e-10, atol=1e-12
+        )
+        assert np.isclose(quasinorm_error_sq(turned, u, v, params), quasinorm_error_sq(ops, u, v, params), rtol=1e-12)
+        assert np.isclose(l2_error_sq(turned, u, v), l2_error_sq(ops, u, v), rtol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import oracles
-from oracles import band_to_dense, jittered_mesh
+from oracles import band_to_dense, jittered_mesh, rotate_rows, rotated_mesh
 
 import splap.psolver
 import splap.stepper
@@ -153,10 +153,11 @@ def test_objective_single_triangle_hand_quadrature():
     assert np.isclose(objective(prob, w), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.5, 4.0])
-def test_gradient_matches_finite_differences(p):
+def test_gradient_matches_finite_differences(p, kappa):
     rng = np.random.default_rng(int(10 * p))
-    prob = random_problem(rng, n=4, p=p, tau=0.15)
+    prob = random_problem(rng, n=4, p=p, kappa=kappa, tau=0.15)
     n_i = prob.ops.n_interior
     for eps in (1e-2, 1e-4):
         u = rng.standard_normal(n_i) * 0.5
@@ -236,14 +237,15 @@ def test_solve_step_small_tau_is_l2_projection():
     assert np.allclose(u, proj, rtol=1e-6, atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
-def test_solve_step_brute_force_oracle(p):
+def test_solve_step_brute_force_oracle(p, kappa):
     # n = 2 has a single interior unknown: compare with grid search
     ops = assemble(generate_unit_square(2))
     rng = np.random.default_rng(int(100 * p))
     for _ in range(20):
         forcing = rng.standard_normal(3 * ops.n_simplices)
-        prob = StepProblem(ops=ops, params=GrowthParams(p), tau_m=0.3, forcing=forcing)
+        prob = StepProblem(ops=ops, params=GrowthParams(p, kappa=kappa), tau_m=0.3, forcing=forcing)
         u, _ = solve_step(prob, np.zeros(1), tol=1e-12)
         # refine a bracket around the reported minimizer down to 1e-6
         center = float(u[0])
@@ -351,10 +353,11 @@ def test_s_pairing_identity():
         assert np.isclose(lhs, rhs, rtol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 4.0])
-def test_objective_convexity(p):
+def test_objective_convexity(p, kappa):
     rng = np.random.default_rng(int(1000 * p))
-    prob = random_problem(rng, n=2, p=p, tau=0.5)
+    prob = random_problem(rng, n=2, p=p, kappa=kappa, tau=0.5)
     n_i = prob.ops.n_interior
     for _ in range(1000):
         u = rng.uniform(-5.0, 5.0, size=n_i)
@@ -376,14 +379,15 @@ def test_solver_tolerance_validation():
 HESSIAN_CASES = [(p, eps) for p in (1.1, 1.5, 2.5) for eps in (1e-2, 1e-6)] + [(2.5, 0.0)]
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
 @pytest.mark.parametrize("p, eps", HESSIAN_CASES)
-def test_hessian_matches_sparse_product_oracle(mesh_name, p, eps):
+def test_hessian_matches_sparse_product_oracle(mesh_name, p, eps, kappa):
     ops = assemble(oracle_meshes()[mesh_name])
     rng = np.random.default_rng(int(100 * p) + int(eps == 0.0))
     prob = StepProblem(
         ops=ops,
-        params=GrowthParams(p),
+        params=GrowthParams(p, kappa=kappa),
         tau_m=0.3,
         forcing=rng.standard_normal(3 * ops.n_simplices),
     )
@@ -446,13 +450,14 @@ def test_presolve_system_matches_restricted_operators(mesh_name, monkeypatch):
     np.testing.assert_allclose(u, expected, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
-def test_hessian_columns_match_finite_differences(p):
+def test_hessian_columns_match_finite_differences(p, kappa):
     ops = assemble(jittered_mesh(5, seed=7))
     rng = np.random.default_rng(int(10 * p))
     prob = StepProblem(
         ops=ops,
-        params=GrowthParams(p),
+        params=GrowthParams(p, kappa=kappa),
         tau_m=0.2,
         forcing=rng.standard_normal(3 * ops.n_simplices),
     )
@@ -903,3 +908,90 @@ def test_primal_dual_halves_newton_iterations_at_p_1_1(monkeypatch):
     primal_dual = sum(it for _, _, it in steps)
     primal = sum(oracles.solve_step_primal(prob, warm)[1] for prob, warm, _ in steps)
     assert primal_dual <= 0.7 * primal
+
+
+ISOTROPY_CASES = [
+    (p, kappa, eps) for p in (1.1, 1.2, 1.5, 2.0, 2.5, 4.0) for kappa in (0.0, 0.3) for eps in (0.0, 1e-6, 1e-2)
+]
+
+
+def turned_problems(mesh_name, p, kappa, tau, rng):
+    """The same step on a mesh and on the mesh turned by a random angle: (problems, angle)."""
+    mesh = oracle_meshes()[mesh_name]
+    angle = rng.uniform(0.1, 2.0 * np.pi - 0.1)
+    forcing = smooth_forcing(assemble(mesh), rng)
+    probs = [
+        StepProblem(ops=assemble(m), params=GrowthParams(p, kappa=kappa), tau_m=tau, forcing=forcing)
+        for m in (mesh, rotated_mesh(mesh, angle))
+    ]
+    return probs, angle
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("p, kappa, eps", ISOTROPY_CASES)
+def test_step_evaluations_are_invariant_under_rotation(mesh_name, p, kappa, eps):
+    # the energy density is a function of the Euclidean norm of the whole
+    # gradient, and a turn of the mesh turns every gradient: at equal nodal
+    # values J, its gradient and Hessian, the residual and the dual matrix
+    # of fluxes turned alike do not change
+    rng = np.random.default_rng(int(100 * p + 10 * kappa) + int(1e6 * eps))
+    (prob, turned), angle = turned_problems(mesh_name, p, kappa, 0.3, rng)
+    singular = eps == 0.0 and p < 2.0
+    for _ in range(2):
+        u = rng.standard_normal(prob.ops.n_interior)
+        point, turned_point = _point(prob, u, eps), _point(turned, u, eps)
+        # the turn is a real one: every gradient turns, its norm stays
+        for got, expected in zip(turned_point.grads, rotate_rows(point.g1, point.g2, angle)):
+            assert_matches(got, expected)
+        assert not np.allclose(turned_point.g1, point.g1)
+        assert_matches(turned_point.norms, point.norms)
+        assert np.isclose(objective(turned, u, eps), objective(prob, u, eps), rtol=1e-12, atol=0.0)
+        assert np.isclose(kkt_residual(turned, u, eps), kkt_residual(prob, u, eps), rtol=1e-12, atol=0.0)
+        if singular:
+            for derivative in (gradient, _hessian):
+                with pytest.raises(SingularityError):
+                    derivative(turned, u, eps)
+            continue
+        assert_matches(gradient(turned, u, eps), gradient(prob, u, eps))
+        expected = band_to_dense(prob.ops.pattern, _hessian(prob, u, eps))
+        assert_matches(band_to_dense(turned.ops.pattern, _hessian(turned, u, eps)), expected)
+        if eps == 0.0:
+            continue
+        # fluxes inside and outside the ball, projected, turn with the mesh
+        point, turned_point = _point(prob, u, eps), _point(turned, u, eps)
+        flux = random_flux(prob, point, rng, rng.uniform(0.0, 3.0, size=point.norms.shape))
+        dual = _dual(prob, point, flux)
+        turned_dual = _dual(turned, turned_point, rotate_rows(*flux, angle))
+        for got, expected in zip((turned_dual.sigma1, turned_dual.sigma2), rotate_rows(dual.sigma1, dual.sigma2, angle)):
+            assert_matches(got, expected)
+        assert_matches(
+            band_to_dense(turned.ops.pattern, _dual_hessian(turned, turned_dual)),
+            band_to_dense(prob.ops.pattern, _dual_hessian(prob, dual)),
+        )
+        # and so does the flux update to a second point
+        v = u + 0.1 * rng.standard_normal(u.shape[0])
+        stepped = _dual_step(prob, dual, _point(prob, v, eps))
+        turned_stepped = _dual_step(turned, turned_dual, _point(turned, v, eps))
+        for got, expected in zip(
+            (turned_stepped.sigma1, turned_stepped.sigma2), rotate_rows(stepped.sigma1, stepped.sigma2, angle)
+        ):
+            assert_matches(got, expected)
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5, 4.0])
+def test_solve_step_is_invariant_under_rotation(mesh_name, p, kappa):
+    # the step on a turned mesh has the same minimizer; J is strongly
+    # convex with modulus lambda_min(R P R'), so the two residuals bound
+    # the distance of the two solutions
+    rng = np.random.default_rng(int(100 * p + 10 * kappa) + 7)
+    (prob, turned), _ = turned_problems(mesh_name, p, kappa, 0.3, rng)
+    warm = rng.standard_normal(prob.ops.n_interior)
+    u, _ = solve_step(prob, warm)
+    u_turned, _ = solve_step(turned, warm)
+    eps = EPS_FINAL if p < 2.0 else 0.0
+    gap = np.linalg.norm(u_turned - u)
+    assert gap <= 1e-6 * np.linalg.norm(u)
+    modulus = np.linalg.eigvalsh(band_to_dense(prob.ops.pattern, prob.ops.pattern.mass))[0]
+    assert gap <= (kkt_residual(prob, u, eps) + kkt_residual(prob, u_turned, eps)) / modulus
