@@ -231,14 +231,6 @@ class MonteCarloTable:
     failures: tuple
     log_cells: tuple
 
-    def mean(self) -> np.ndarray:
-        return self.totals.mean(axis=0)
-
-    def std(self) -> np.ndarray:
-        if self.totals.shape[0] < 2:
-            return np.zeros(self.totals.shape[1])
-        return self.totals.std(axis=0, ddof=1)
-
 
 @lru_cache(maxsize=4)
 def _runtime(mesh_n: int, phi_expr: str, n_components: int, mode: str, sigma_expr: str):

@@ -259,10 +259,11 @@ def phi_function(expr: str):
 
 
 def sigma_function(expr: str):
-    """Multiplicative shape expression -> scalar function.
+    """Multiplicative shape expression -> elementwise function of an array.
 
     ``u`` is the identity (linear multiplicative noise); a numeric
-    constant gives state-independent scaling.
+    constant gives state-independent scaling, an array of its input's
+    shape.
     """
     expr = expr.strip()
     if expr == "u":
@@ -271,7 +272,7 @@ def sigma_function(expr: str):
         const = parse_number(expr)
     except ConfigError as exc:
         raise ConfigError(f"unsupported sigma expression {expr!r}") from exc
-    return lambda x, _c=const: _c
+    return lambda x, _c=const: np.full(np.shape(x), _c)
 
 
 def _format_value(key: str, value) -> str:

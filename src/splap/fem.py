@@ -7,36 +7,25 @@ represented by simplex-major coefficient vectors of length 3*ns: entries
 3*j .. 3*j+2 are the values at the three local nodes of simplex j, in
 the simplex's vertex order.
 
-``assemble`` produces the sparse operators used everywhere downstream:
+``assemble`` produces the sparse operators used everywhere downstream.
+Below, R (n_interior x nv) selects the interior vertices, one unit
+entry per row, and A = sum_i Di' diag(areas) Di is the stiffness.
 
 mass
     P, nv x nv, exact integrals of products of nodal basis functions;
     the local block on a triangle of area A is (A/12) [[2,1,1],[1,2,1],
     [1,1,2]].
-broken_mass
-    Pt, 3*ns x nv, the same local blocks scattered to broken rows and
-    conforming columns, so that f' Pt u integrates a broken f against a
-    conforming u.
 dgrad
     (D1, D2), each ns x nv, the constant per-simplex partial derivative
     of a conforming function; at most three nonzeros per row.
 areas
     Simplex areas.
-restriction
-    R, n_interior x nv, selecting interior vertices (one unit entry per
-    row); R' maps interior unknowns to a conforming vector that is zero
-    on the boundary.
-basis_grad
-    (gx, gy), each ns x 3: the constant partial derivatives of the three
-    local nodal basis functions on each simplex, in the simplex's vertex
-    order.  They are the nonzeros of the rows of D1 and D2.
 pattern
     An InteriorPattern: the reverse Cuthill-McKee order of the interior
     unknowns, fixed per mesh, in which every interior Newton system is a
-    LAPACK lower band of half-width kd; R P R' and R A R' (A the
-    stiffness) as band data vectors; and the fixed operator that maps
-    stacked per-simplex weights to the band data of their weighted
-    stiffness.  A Newton matrix is then a band data vector, the mass
+    LAPACK lower band of half-width kd; R P R' and R A R' as band data
+    vectors; and the fixed operator that maps stacked per-simplex
+    weights to the band data of their weighted stiffness.  A Newton matrix is then a band data vector, the mass
     plus one sparse product.
 point_op
     [D1 R'; D2 R'; R P R'], (2*ns + n_interior) x n_interior: one
@@ -47,11 +36,10 @@ flux_op
     a stacked per-simplex flux (s1, s2) gives the interior part of
     sum_i Di' diag(areas) s_i.
 load_op
-    Pt' as a CSR matrix, nv x 3*ns: one product maps a broken forcing
-    to its load.
-
-The assembled stiffness sum_i Di' diag(areas) Di is exposed for use as
-an independent reference in the linear (p = 2) regime.
+    Pt' as a CSR matrix, nv x 3*ns, Pt the broken mass: the local mass
+    blocks scattered to broken rows and conforming columns, so that
+    f' Pt u integrates a broken f against a conforming u.  One product
+    maps a broken forcing to its load.
 """
 
 from __future__ import annotations
@@ -155,12 +143,9 @@ class FemOperators:
 
     mesh: Mesh
     mass: sp.csr_matrix
-    broken_mass: sp.csr_matrix
     dgrad: tuple[sp.csr_matrix, sp.csr_matrix]
     areas: np.ndarray
-    restriction: sp.csr_matrix
     interior: np.ndarray
-    basis_grad: tuple[np.ndarray, np.ndarray]
     pattern: InteriorPattern
     point_op: sp.csr_matrix
     flux_op: sp.csr_matrix
@@ -186,19 +171,6 @@ class FemOperators:
         full = np.zeros(self.n_vertices)
         full[self.interior] = u_interior
         return full
-
-    def restrict(self, u: np.ndarray) -> np.ndarray:
-        """Conforming vector -> interior coefficients."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n_vertices,):
-            raise ValueError(f"expected {self.n_vertices} coefficients")
-        return u[self.interior].copy()
-
-    def stiffness(self) -> sp.csr_matrix:
-        """sum_i Di' diag(areas) Di; the p = 2 diffusion operator."""
-        d1, d2 = self.dgrad
-        w = sp.diags(self.areas)
-        return (d1.T @ w @ d1 + d2.T @ w @ d2).tocsr()
 
 
 def assemble(mesh: Mesh) -> FemOperators:
@@ -236,21 +208,14 @@ def assemble(mesh: Mesh) -> FemOperators:
     broken_mass = sp.coo_matrix((broken_data, (broken_rows, broken_cols)), shape=(3 * ns, nv)).tocsr()
 
     interior = np.where(~mesh.boundary_vertex_flags)[0]
-    ni = interior.shape[0]
-    restriction = sp.coo_matrix(
-        (np.ones(ni), (np.arange(ni), interior)), shape=(ni, nv)
-    ).tocsr()
     d_interior = sp.vstack([d1[:, interior], d2[:, interior]], format="csr")
 
     return FemOperators(
         mesh=mesh,
         mass=mass,
-        broken_mass=broken_mass,
         dgrad=(d1, d2),
         areas=areas,
-        restriction=restriction,
         interior=interior,
-        basis_grad=(gx, gy),
         pattern=_interior_pattern(t, interior, nv, broken_data, areas, gx, gy),
         point_op=_without_zeros(sp.vstack([d_interior, mass[interior][:, interior]], format="csr")),
         flux_op=_without_zeros((d_interior.T @ sp.diags(np.concatenate((areas, areas)))).tocsr()),
@@ -297,18 +262,3 @@ def quasinorm_error_sq(ops: FemOperators, u: np.ndarray, v: np.ndarray, params: 
     gv = gradient_per_simplex(ops, v)
     df = tensor_f_rows(gu, params) - tensor_f_rows(gv, params)
     return float(ops.areas @ np.sum(df * df, axis=1))
-
-
-def nodal_interpolate(mesh: Mesh, g) -> np.ndarray:
-    """Vertex-wise interpolation of a pointwise function g(x, y)."""
-    vals = np.array([float(g(float(x), float(y))) for x, y in mesh.vertices])
-    if not np.all(np.isfinite(vals)):
-        k = int(np.where(~np.isfinite(vals))[0][0])
-        raise ValueError(f"non-finite interpolation value at vertex {k}")
-    return vals
-
-
-def broken_embed(ops: FemOperators, u: np.ndarray) -> np.ndarray:
-    """Embed a conforming function into the broken space (exact)."""
-    u = _check_conforming(ops, u)
-    return u[ops.mesh.simplices.ravel()]

@@ -95,6 +95,12 @@ class SolveReport:
     objective_trace: list[float] = field(default_factory=list)
 
 
+def _report(iterations: int, grad_norm: float, eps: float, trace: list[float]) -> SolveReport:
+    return SolveReport(
+        iterations=iterations, final_grad_norm=grad_norm, continuation_levels=[eps], objective_trace=trace
+    )
+
+
 @dataclass(frozen=True)
 class StepProblem:
     """One implicit step: operators, law, step size, broken forcing."""
@@ -391,7 +397,8 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
 
     At eps > 0 the Newton matrix is the primal-dual one, its flux the
     primal flux at the start point, updated after each accepted step.
-    At eps = 0 it is the primal Hessian.
+    At eps = 0 it is the primal Hessian.  A ConvergenceError carries
+    the report of the iterations done before it.
     """
     g = gradient(prob, u, eps)
     f = objective(prob, u, eps)
@@ -405,12 +412,15 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
         if gn <= target:
             return u, it
         if it >= max_iter:
-            exc = ConvergenceError(f"iteration cap {max_iter} exceeded at eps={eps:g} (|grad|={gn:.3e})")
-            exc.iterations_done = it
-            exc.grad_norm = gn
-            raise exc
+            raise ConvergenceError(
+                f"iteration cap {max_iter} exceeded at eps={eps:g} (|grad|={gn:.3e})", _report(it, gn, eps, trace)
+            )
         h = _hessian(prob, u, eps) if dual is None else _dual_hessian(prob, dual)
-        d = _newton_direction(h, g, prob.ops.pattern)
+        try:
+            d = _newton_direction(h, g, prob.ops.pattern)
+        except ConvergenceError as exc:
+            exc.report = _report(it, gn, eps, trace)
+            raise
         slope = float(g @ d)
         if abs(slope) * 0.5 < 1e-15 * size:
             # Newton's own predicted decrease is below the float
@@ -425,10 +435,7 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
                 break
             alpha *= 0.5
             if alpha < 2.0**-60:
-                exc = ConvergenceError(f"line search stalled at eps={eps:g}")
-                exc.iterations_done = it
-                exc.grad_norm = gn
-                raise exc
+                raise ConvergenceError(f"line search stalled at eps={eps:g}", _report(it, gn, eps, trace))
         point = _point(prob, trial, eps)
         if dual is not None:
             dual = _dual_step(prob, dual, point)
@@ -438,8 +445,8 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
         g = gradient(prob, u, eps)
 
 
-def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray:
-    """Start candidate: the solve of (P + tau A_s) u = load.
+def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray | None:
+    """Start candidate: the solve of (P + tau A_s) u = load, or None if it fails.
 
     A_s is the stiffness weighted per simplex by ``scale``, or without
     it the p = 2 stiffness A.
@@ -451,10 +458,7 @@ def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray:
         areas = prob.ops.areas
         weight = areas * scale
         stiffness = pattern.weighted_stiffness(weight, np.zeros_like(areas), weight)
-    u = splu(pattern, pattern.mass + prob.tau_m * stiffness, prob._load_interior)
-    if u is None:
-        raise ConvergenceError("presolve factorization failed")
-    return u
+    return splu(pattern, pattern.mass + prob.tau_m * stiffness, prob._load_interior)
 
 
 def solve_step(
@@ -470,8 +474,9 @@ def solve_step(
     Newton decrease falls below the float resolution of the objective's
     terms (the minimizer is then resolved to machine precision and no
     representable descent remains).  Returns the interior coefficient
-    vector and a SolveReport; raises ConvergenceError (with the report
-    attached) if an iteration cap is exceeded.
+    vector and a SolveReport; a ConvergenceError (iteration cap,
+    failed factorization, stalled line search) carries the report of
+    the iterations done before it.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -491,28 +496,14 @@ def solve_step(
     f_warm = objective(prob, u, eps)
     warm = _point(prob, u, eps)
     trace: list[float] = []
-    try:
-        target = tol * (1.0 + float(np.linalg.norm(gradient(prob, warm_start, eps))))
-        pre = _presolve(prob, warm.scale if p < 2.0 else None)
-        if objective(prob, pre, eps) < f_warm:
-            u = pre
-        else:
-            object.__setattr__(prob, "_last", warm)
-        u, iterations = _minimize_level(prob, u, eps, target, max_iter, trace)
-    except ConvergenceError as exc:
-        exc.report = SolveReport(
-            iterations=getattr(exc, "iterations_done", 0),
-            final_grad_norm=getattr(exc, "grad_norm", float("nan")),
-            continuation_levels=[eps],
-            objective_trace=trace,
-        )
-        raise
-
+    g0 = float(np.linalg.norm(gradient(prob, warm_start, eps)))
+    pre = _presolve(prob, warm.scale if p < 2.0 else None)
+    if pre is None:
+        raise ConvergenceError("presolve factorization failed", _report(0, g0, eps, trace))
+    if objective(prob, pre, eps) < f_warm:
+        u = pre
+    else:
+        object.__setattr__(prob, "_last", warm)
+    u, iterations = _minimize_level(prob, u, eps, tol * (1.0 + g0), max_iter, trace)
     # the point of u is the memo's, its residual formed: no new work
-    report = SolveReport(
-        iterations=iterations,
-        final_grad_norm=float(np.linalg.norm(gradient(prob, u, eps))),
-        continuation_levels=[eps],
-        objective_trace=trace,
-    )
-    return u, report
+    return u, _report(iterations, float(np.linalg.norm(gradient(prob, u, eps))), eps, trace)

@@ -141,9 +141,6 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.points.shape[0] - 1
 
-    def steps(self) -> np.ndarray:
-        return np.diff(self.points)
-
 
 def _check_grid(grid: TimeGrid) -> TimeGrid:
     pts = grid.points
@@ -232,7 +229,7 @@ class NoiseCoefficient:
     ``values[j, k]`` multiplies the increment of Brownian component k on
     simplex j.  In multiplicative mode the load is further scaled by the
     shape function ``sigma`` evaluated at the current state, node by
-    node.
+    node; sigma maps an array of states to an array of the same shape.
     """
 
     values: np.ndarray
@@ -247,17 +244,17 @@ class NoiseCoefficient:
 def _sigma_growth_check(sigma) -> None:
     # Sampled screen for linear growth |sigma(x)| <= c (1 + |x|): the
     # growth ratio far out must not dwarf the ratio on moderate inputs.
+    # sigma gets the samples as one array, as noise_load gives it a state.
     xs = np.concatenate([[0.0], np.logspace(-3, 6, 19), -np.logspace(-3, 6, 19)])
-    ratios = []
-    for x in xs:
-        try:
-            val = float(sigma(float(x)))
-        except Exception as exc:
-            raise ValueError(f"sigma failed to evaluate at {x!r}") from exc
-        if not np.isfinite(val):
-            raise ValueError(f"sigma({x!r}) is not finite")
-        ratios.append(abs(val) / (1.0 + abs(x)))
-    ratios = np.asarray(ratios)
+    try:
+        vals = np.asarray(sigma(xs), dtype=float)
+    except Exception as exc:
+        raise ValueError("sigma failed to evaluate on an array of states") from exc
+    if vals.shape != xs.shape:
+        raise ValueError(f"sigma maps a state of shape {xs.shape} to shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"sigma({xs[~np.isfinite(vals)][0]!r}) is not finite")
+    ratios = np.abs(vals) / (1.0 + np.abs(xs))
     near = ratios[np.abs(xs) <= 1.0].max()
     if ratios.max() > 1e3 * max(1.0, near):
         raise ValueError("sigma fails the sampled linear-growth check")
@@ -304,7 +301,8 @@ def noise_load(ops: FemOperators, phi: NoiseCoefficient, state: np.ndarray, d_w:
 
     ``state`` enters through its exact broken embedding; the noise term
     is constant per simplex (additive) or scaled per broken node by
-    sigma of the nodal state value (multiplicative).
+    sigma of the nodal state value (multiplicative).  sigma is called
+    once, on the whole broken state, and must keep its shape.
     """
     state = np.asarray(state, dtype=float)
     d_w = np.asarray(d_w, dtype=float)
@@ -319,11 +317,7 @@ def noise_load(ops: FemOperators, phi: NoiseCoefficient, state: np.ndarray, d_w:
     amp = np.repeat(phi.values @ d_w, 3)
     if phi.mode == "additive":
         return base + amp
-    sig = phi.sigma
-    try:
-        shaped = np.asarray(sig(base), dtype=float)
-        if shaped.shape != base.shape:
-            raise TypeError
-    except Exception:
-        shaped = np.array([float(sig(float(x))) for x in base])
+    shaped = np.asarray(phi.sigma(base), dtype=float)
+    if shaped.shape != base.shape:
+        raise ValueError(f"sigma maps a state of shape {base.shape} to shape {shaped.shape}")
     return base + amp * shaped

@@ -1,29 +1,34 @@
 """Shared test oracles.
 
-A randomly renumbered mesh, a turned copy of a mesh, a band
-densifier, and the step objective, its gradient, Hessian and KKT
-residual as the solver computed them before the per-point state:
-each call prolongs u and runs the CSR derivative and mass products
-itself, and the Hessian sums dense per-simplex 3 x 3 blocks into the
-band.  The per-point gather, the
-residual and the weighted stiffness as the solver computed them before
-the fixed interior operators: nodal values gathered per simplex,
-transposed products and band data summed by ``bincount``.  The step
-solve as it was before the primal-dual Newton matrix: the p = 2
-surrogate start, for p < 2 the smoothing continuation 1e-2, 1e-4,
-1e-6, and on every level, smoothed or not, damped Newton on the primal
-Hessian.  Last, the errors of one
-Monte-Carlo replicate as the harness computed them before the reference
-was shared: the reference marches the whole path lattice and every
-ladder entry runs its own trajectory.
+The constitutive maps S and F of a matrix argument, the quasi distance
+|F(xi) - F(eta)|**2 and the monotonicity pairing (S(xi) - S(eta)) :
+(xi - eta) built from them, and S applied row-wise.  The P1 pieces the
+program does not keep: nodal interpolation, the broken embedding, the
+interior restriction R, the stiffness A = sum_i Di' diag(areas) Di and
+the barycentric basis gradients.  A randomly renumbered mesh, a
+turned copy of a mesh, a band densifier, and the step objective, its
+gradient, Hessian and KKT residual as the solver computed them before
+the per-point state: each call prolongs u and runs the CSR derivative
+and mass products itself, and the Hessian sums dense per-simplex 3 x 3
+blocks into the band.  The per-point gather, the residual and the
+weighted stiffness as the solver computed them before the fixed
+interior operators: nodal values gathered per simplex, transposed
+products and band data summed by ``bincount``.  The step solve as it
+was before the primal-dual Newton matrix: the p = 2 surrogate start,
+for p < 2 the smoothing continuation 1e-2, 1e-4, 1e-6, and on every
+level, smoothed or not, damped Newton on the primal Hessian.  Last,
+the errors of one Monte-Carlo replicate as the harness computed them
+before the reference was shared: the reference marches the whole path
+lattice and every ladder entry runs its own trajectory.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import Delaunay
 
 from splap.analysis import _path_layout, _runtime, path_error
-from splap.constitutive import GrowthParams, tensor_s_rows
-from splap.fem import _LOCAL_MASS
+from splap.constitutive import GrowthParams, _scale
+from splap.fem import _LOCAL_MASS, _check_conforming
 from splap.mesh import _signed_areas, generate_unit_square, make_mesh
 from splap.psolver import (
     ARMIJO_C1,
@@ -39,6 +44,101 @@ from splap.psolver import gradient as step_gradient
 from splap.psolver import objective as step_objective
 from splap.stepper import SchemeConfig, run_trajectory
 from splap.stochastics import mix_seed, random_time_grid, sample_path, uniform_time_grid
+
+
+def _as_matrix(xi):
+    xi = np.asarray(xi, dtype=float)
+    if xi.size == 0:
+        raise ValueError("empty matrix argument")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("non-finite entries in matrix argument")
+    return xi
+
+
+def tensor_s(xi, params):
+    """S(xi) = (kappa + |xi|)**(p-2) xi, Frobenius norm."""
+    xi = _as_matrix(xi)
+    base = params.kappa + float(np.sqrt(np.sum(xi * xi)))
+    if base == 0.0:
+        return np.zeros_like(xi)
+    return base ** (params.p - 2.0) * xi
+
+
+def tensor_f(xi, params):
+    """F(xi) = (kappa + |xi|)**((p-2)/2) xi, Frobenius norm."""
+    xi = _as_matrix(xi)
+    base = params.kappa + float(np.sqrt(np.sum(xi * xi)))
+    if base == 0.0:
+        return np.zeros_like(xi)
+    return base ** ((params.p - 2.0) / 2.0) * xi
+
+
+def quasi_distance_sq(xi, eta, params):
+    """Squared increment |F(xi) - F(eta)|**2 of the linearizing map."""
+    xi = _as_matrix(xi)
+    eta = _as_matrix(eta)
+    if xi.shape != eta.shape:
+        raise ValueError(f"shape mismatch: {xi.shape} vs {eta.shape}")
+    d = tensor_f(xi, params) - tensor_f(eta, params)
+    return float(np.sum(d * d))
+
+
+def monotonicity_pairing(xi, eta, params):
+    """Pairing (S(xi) - S(eta)) : (xi - eta); nonnegative by monotonicity."""
+    xi = _as_matrix(xi)
+    eta = _as_matrix(eta)
+    if xi.shape != eta.shape:
+        raise ValueError(f"shape mismatch: {xi.shape} vs {eta.shape}")
+    ds = tensor_s(xi, params) - tensor_s(eta, params)
+    return float(np.sum(ds * (xi - eta)))
+
+
+def tensor_s_rows(g, params):
+    """Apply S row-wise to an (n, d) array; row j is one small matrix."""
+    g = np.asarray(g, dtype=float)
+    norms = np.sqrt(np.sum(g * g, axis=-1))
+    return _scale(norms, params, params.p - 2.0)[..., None] * g
+
+
+def nodal_interpolate(mesh, g):
+    """Vertex-wise interpolation of a pointwise function g(x, y)."""
+    vals = np.array([float(g(float(x), float(y))) for x, y in mesh.vertices])
+    if not np.all(np.isfinite(vals)):
+        k = int(np.where(~np.isfinite(vals))[0][0])
+        raise ValueError(f"non-finite interpolation value at vertex {k}")
+    return vals
+
+
+def broken_embed(ops, u):
+    """Embed a conforming function into the broken space (exact)."""
+    u = _check_conforming(ops, u)
+    return u[ops.mesh.simplices.ravel()]
+
+
+def restriction(ops):
+    """R, n_interior x nv: one unit entry per row, at the row's interior vertex."""
+    ni = ops.n_interior
+    return sp.csr_matrix((np.ones(ni), (np.arange(ni), ops.interior)), shape=(ni, ops.n_vertices))
+
+
+def stiffness(ops):
+    """A = sum_i Di' diag(areas) Di; the p = 2 diffusion operator."""
+    d1, d2 = ops.dgrad
+    w = sp.diags(ops.areas)
+    return (d1.T @ w @ d1 + d2.T @ w @ d2).tocsr()
+
+
+def basis_gradients(ops):
+    """(gx, gy), each ns x 3: the gradients of the local nodal basis functions.
+
+    From the vertex coordinates: grad phi_a = (y_{a+1} - y_{a+2},
+    x_{a+2} - x_{a+1}) / (2 |S_j|), local indices cyclic, in the
+    simplex's vertex order.  They are the nonzeros of the rows of D1, D2.
+    """
+    v = ops.mesh.vertices[ops.mesh.simplices]
+    nxt, prv = np.roll(v, -1, axis=1), np.roll(v, -2, axis=1)
+    inv2a = 1.0 / (2.0 * ops.areas)
+    return (nxt[..., 1] - prv[..., 1]) * inv2a[:, None], (prv[..., 0] - nxt[..., 0]) * inv2a[:, None]
 
 
 def jittered_mesh(n, seed):
@@ -123,7 +223,7 @@ def bincount_weighted_stiffness(ops, w11, w12, w22):
     """Band data of the weighted stiffness: per-entry basis products summed by bincount."""
     keep, slot = band_slots(ops)
     j, a, b = keep // 9, keep // 3 % 3, keep % 3
-    gx, gy = ops.basis_grad
+    gx, gy = basis_gradients(ops)
     data = (
         w11[j] * gx[j, a] * gx[j, b]
         + w12[j] * (gx[j, a] * gy[j, b] + gy[j, a] * gx[j, b])
@@ -137,7 +237,7 @@ def gathered_state(ops, u_interior):
     u_full = np.zeros(ops.n_vertices)
     u_full[ops.interior] = u_interior
     local = u_full[ops.mesh.simplices]
-    gx, gy = ops.basis_grad
+    gx, gy = basis_gradients(ops)
     mass_local = ops.areas[:, None] * (local @ _LOCAL_MASS)
     pu = np.bincount(ops.mesh.simplices.ravel(), weights=mass_local.ravel(), minlength=ops.n_vertices)
     return (gx * local).sum(axis=1), (gy * local).sum(axis=1), pu[ops.interior]
@@ -149,7 +249,7 @@ def bincount_residual(prob, u_interior, s1, s2):
     u_full = np.zeros(ops.n_vertices)
     u_full[ops.interior] = u_interior
     local = u_full[ops.mesh.simplices]
-    gx, gy = ops.basis_grad
+    gx, gy = basis_gradients(ops)
     contrib = ops.areas[:, None] * (local @ _LOCAL_MASS)
     contrib += prob.tau_m * ops.areas[:, None] * (s1[:, None] * gx + s2[:, None] * gy)
     r = np.bincount(ops.mesh.simplices.ravel(), weights=contrib.ravel(), minlength=ops.n_vertices)
@@ -220,7 +320,7 @@ def hessian(prob, u_interior, eps):
     w22 = areas * (a + b * g2 * g2)
     w12 = areas * (b * g1 * g2)
     # per simplex, gx (x) (w11 gx + w12 gy) + gy (x) (w12 gx + w22 gy)
-    gx, gy = prob.ops.basis_grad
+    gx, gy = basis_gradients(prob.ops)
     hx = w11[:, None] * gx + w12[:, None] * gy
     hy = w12[:, None] * gx + w22[:, None] * gy
     blocks = gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :]

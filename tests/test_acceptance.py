@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from oracles import restriction, stiffness, tensor_s_rows
 
 from splap.analysis import (
     CorrectionError,
@@ -45,7 +46,7 @@ from splap.analysis import (
     path_error,
 )
 from splap.config import parse_config, phi_function, regression_taus
-from splap.constitutive import GrowthParams, monotonicity_pairing, quasi_distance_sq
+from splap.constitutive import GrowthParams, tensor_f_rows
 from splap.experiment import read_results_csv, run_experiment
 from splap.fem import assemble
 from splap.mesh import generate_unit_square
@@ -76,8 +77,8 @@ def _random_problem(rng, n, p, tau):
 def _linear_oracle(prob):
     """Direct sparse solve of (P + tau A) u = load on interior unknowns."""
     ops = prob.ops
-    r = ops.restriction
-    system = sp.csc_matrix(r @ (ops.mass + prob.tau_m * ops.stiffness()) @ r.T)
+    r = restriction(ops)
+    system = sp.csc_matrix(r @ (ops.mass + prob.tau_m * stiffness(ops)) @ r.T)
     return spla.spsolve(system, r @ prob.load)
 
 
@@ -112,9 +113,9 @@ def test_linear_oracle_equivalence():
         solver_tol=1e-11,
     )
     traj = run_trajectory(cfg)
-    r = ops.restriction
+    r = restriction(ops)
     tau = grid.mean_step
-    system = sp.csc_matrix(r @ (ops.mass + tau * ops.stiffness()) @ r.T)
+    system = sp.csc_matrix(r @ (ops.mass + tau * stiffness(ops)) @ r.T)
     u = cfg.initial.copy()
     for m in range(1, 17):
         d_w = increment(path, m - 1, m)
@@ -190,8 +191,12 @@ def test_quasi_distance_pairing_equivalence():
                 scale = 10.0 ** rng.uniform(-2.0, 2.0)
                 xi = scale * rng.standard_normal((2, 2))
                 eta = scale * rng.standard_normal((2, 2))
-                q = quasi_distance_sq(xi, eta, params)
-                m = monotonicity_pairing(xi, eta, params)
+                # a matrix flattened to a row keeps its Frobenius norm
+                x, e = xi.reshape(1, -1), eta.reshape(1, -1)
+                df = tensor_f_rows(x, params) - tensor_f_rows(e, params)
+                ds = tensor_s_rows(x, params) - tensor_s_rows(e, params)
+                q = float(np.sum(df * df))
+                m = float(np.sum(ds * (x - e)))
                 if m < 0.0:
                     failures.append(f"p={p} kappa={kappa}: pairing {m!r} < 0")
                     break
@@ -353,12 +358,12 @@ def _exact_p2_quasi(cfg):
     mesh = generate_unit_square(cfg.mesh_n)
     ops = assemble(mesh)
     noise = noise_from_function(mesh, phi_function(cfg.phi), n_components=cfg.noise_components)
-    r = ops.restriction
+    r = restriction(ops)
     mass = (r @ ops.mass @ r.T).toarray()
-    stiff = (r @ ops.stiffness() @ r.T).toarray()
+    stiff = (r @ stiffness(ops) @ r.T).toarray()
     start = r @ (ops.mass @ np.full(ops.n_vertices, float(cfg.u0)))
     # Pt' of the broken noise table: the load of a unit increment per component
-    gain = r @ (ops.broken_mass.T @ np.repeat(noise.values, 3, axis=0))
+    gain = r @ (ops.load_op @ np.repeat(noise.values, 3, axis=0))
     n_ref = int(round(cfg.horizon / cfg.tau_ref))
     tau_f = cfg.horizon / n_ref
 

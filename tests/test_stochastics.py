@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from oracles import broken_embed
 from scipy import stats
 
-from splap.fem import assemble, broken_embed
+from splap.analysis import _path_layout
+from splap.config import ExperimentConfig, sigma_function
+from splap.fem import assemble
 from splap.mesh import generate_unit_square
 from splap.stochastics import (
+    NoiseCoefficient,
     increment,
     make_noise_coefficient,
     mix_seed,
@@ -123,7 +127,7 @@ def test_uniform_grid_examples():
     assert np.allclose(g.points, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)
     assert g.kind == "deterministic"
     assert g.n_steps == 4
-    assert np.allclose(g.steps(), 0.25)
+    assert np.allclose(np.diff(g.points), 0.25)
     assert g.mean_step == 0.25
 
 
@@ -151,7 +155,7 @@ def test_random_grid_law():
         m = np.arange(1, n_steps + 1)
         assert np.all(g.points[1:] >= m * tau - tau / 4 - 1e-12)
         assert np.all(g.points[1:] <= m * tau + tau / 4 + 1e-12)
-        steps = g.steps()
+        steps = np.diff(g.points)
         assert np.all(steps >= tau / 2 - 1e-12)
         assert np.all(steps <= 3 * tau / 2 + 1e-12)
         assert g.kind == "random"
@@ -187,6 +191,26 @@ def test_random_grid_snapped_lands_on_lattice():
         m = np.arange(1, 5)
         assert np.all(g.points[1:] >= m * tau - tau / 4 - 1e-12)
         assert np.all(g.points[1:] <= m * tau + tau / 4 + 1e-12)
+    # the law at the lattice ratios the harness draws: with rho = n/M
+    # lattice steps per tau, t_m is m tau plus a lattice offset uniform on
+    # {-h, ..., h}, h = rho // 4, of variance h (h + 1) / 3 lattice steps squared
+    cfg = ExperimentConfig(grid_kind="random")
+    _, _, n_lattice = _path_layout(cfg)
+    lattice_step = cfg.horizon / n_lattice
+    n_grids = 5000
+    for tau in cfg.tau_ladder:
+        n_steps = int(round(cfg.horizon / tau))
+        h = int(round(tau / lattice_step)) // 4
+        m = np.arange(1, n_steps + 1)
+        sums = np.zeros(n_steps)
+        for seed in range(n_grids):
+            g = random_time_grid(seed, n_steps, cfg.horizon, snap_to=n_lattice)
+            steps = np.diff(g.points)
+            assert np.all(steps >= tau / 2 - 1e-12)
+            assert np.all(steps <= 3 * tau / 2 + 1e-12)
+            sums += g.points[1:]
+        se = np.sqrt(h * (h + 1) / 3.0) * lattice_step / np.sqrt(n_grids)
+        assert np.all(np.abs(sums / n_grids - m * tau) < 4.0 * se), f"tau={tau}"
 
 
 def test_noise_coefficient_validation():
@@ -242,6 +266,31 @@ def test_noise_load_multiplicative_nodewise():
     out = noise_load(ops, phi, state, dw)
     base = broken_embed(ops, state)
     assert np.allclose(out, base + 2.0 * 0.25 * base, rtol=1e-14)
+
+
+def test_noise_load_multiplicative_constant_sigma():
+    # the config's constant form scales every broken node alike
+    m = generate_unit_square(3)
+    ops = assemble(m)
+    values = np.random.default_rng(22).uniform(0.5, 2.0, size=(m.n_simplices, 2))
+    phi = make_noise_coefficient(values, mode="multiplicative", sigma=sigma_function("0.5"))
+    state = np.random.default_rng(23).standard_normal(m.n_vertices)
+    dw = np.array([0.25, -0.5])
+    out = noise_load(ops, phi, state, dw)
+    amp = np.repeat(values @ dw, 3)
+    np.testing.assert_array_equal(out, broken_embed(ops, state) + 0.5 * amp)
+
+
+def test_noise_load_rejects_a_shape_breaking_sigma():
+    m = generate_unit_square(2)
+    ops = assemble(m)
+    values = np.ones((m.n_simplices, 1))
+    for sigma in (lambda v: float(np.sum(v)), lambda v: v[:-1], lambda v: v[:, None]):
+        with pytest.raises(ValueError, match="sigma maps"):
+            make_noise_coefficient(values, mode="multiplicative", sigma=sigma)
+        phi = NoiseCoefficient(values=values, mode="multiplicative", sigma=sigma)
+        with pytest.raises(ValueError, match="sigma maps"):
+            noise_load(ops, phi, np.ones(m.n_vertices), np.array([0.5]))
 
 
 def test_noise_load_dimension_checks():
