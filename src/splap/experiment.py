@@ -18,6 +18,7 @@ summary recomputable from persisted results alone.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -183,22 +184,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None, out_dir: s
     return 1 if dirty else 0
 
 
+# fields the protocol record leaves out: the fit steps (each per_p entry
+# records its taus_fit) and where and how a run executes
+_RUN_ONLY_FIELDS = ("fit_taus", "out_dir", "workers")
+
+
 def _protocol_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "p_list": [float(p) for p in cfg.p_list],
-        "kappa": cfg.kappa,
-        "mesh_n": cfg.mesh_n,
-        "tau_ladder": [float(t) for t in cfg.tau_ladder],
-        "tau_ref": cfg.tau_ref,
-        "horizon": cfg.horizon,
-        "n_replicates": cfg.n_replicates,
-        "master_seed": cfg.master_seed,
-        "noise_mode": cfg.noise_mode,
-        "phi": cfg.phi,
-        "noise_components": cfg.noise_components,
-        "sigma": cfg.sigma,
-        "u0": cfg.u0,
-        "grid_kind": cfg.grid_kind,
-        "solver_tol": cfg.solver_tol,
-        "clip_initial": cfg.clip_initial,
-    }
+    proto = {}
+    for field in dataclasses.fields(cfg):
+        if field.name in _RUN_ONLY_FIELDS:
+            continue
+        value = getattr(cfg, field.name)
+        proto[field.name] = [float(v) for v in value] if isinstance(value, tuple) else value
+    return proto

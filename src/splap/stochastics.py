@@ -17,12 +17,11 @@ increments; nothing is ever re-sampled, so nested coarse/fine schemes
 driven by one path see exactly the same Brownian motion.
 
 Time grids come in two kinds.  Deterministic grids are the uniform
-lattice m*T/M.  Random grids perturb each interior point uniformly in
-[m*tau - tau/4, m*tau + tau/4] with tau = T/M, which keeps the points
-strictly increasing and every step within [tau/2, 3*tau/2].  When a
-random grid must live on a path's fine lattice, the perturbation is
-drawn uniformly over the lattice points inside the same window (the
-window is symmetric around m*tau, so the mean is unchanged).
+lattice m*T/M.  Random grids live on a path's fine lattice: with
+tau = T/M, each point t_m is drawn uniformly over the lattice points of
+its window [m*tau - tau/4, m*tau + tau/4].  The window is symmetric
+around m*tau, so t_m has mean m*tau; the points stay strictly
+increasing and every step lies within [tau/2, 3*tau/2].
 """
 
 from __future__ import annotations
@@ -178,14 +177,14 @@ def uniform_time_grid(n_steps: int, horizon: float) -> TimeGrid:
     return _check_grid(TimeGrid(points=points, mean_step=horizon / n_steps, kind="deterministic"))
 
 
-def random_time_grid(seed: int, n_steps: int, horizon: float, snap_to: int | None = None) -> TimeGrid:
-    """Random grid with t_m uniform in [m tau - tau/4, m tau + tau/4].
+def random_time_grid(seed: int, n_steps: int, horizon: float, snap_to: int) -> TimeGrid:
+    """Random grid on the lattice with step horizon/snap_to.
 
-    With ``snap_to = n`` the perturbations are drawn uniformly over the
-    points of the lattice with step horizon/n inside each window, so
-    every grid point is exactly a lattice point (windows then reach at
-    most horizon + tau/4, so the lattice must extend far enough when the
-    grid is used against a sampled path).  Requires n to be a multiple
+    With rho = snap_to/n_steps lattice steps per tau and h = rho // 4,
+    t_m is m*tau plus an offset drawn uniformly from {-h, ..., h}
+    lattice steps, so every grid point is a lattice point inside
+    [m tau - tau/4, m tau + tau/4] (the last may pass horizon by up to
+    tau/4, so a path must extend that far).  snap_to must be a multiple
     of n_steps.
     """
     if n_steps < 1 or int(n_steps) != n_steps:
@@ -193,26 +192,17 @@ def random_time_grid(seed: int, n_steps: int, horizon: float, snap_to: int | Non
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     n_steps = int(n_steps)
-    tau = horizon / n_steps
+    n = int(snap_to)
+    if n < n_steps or n % n_steps != 0:
+        raise ValueError(f"snap lattice ({n}) must be a multiple of n_steps ({n_steps})")
+    rho = n // n_steps
+    half = rho // 4
+    count = 2 * half + 1
     u = _uniform01(seed, n_steps)
-    m = np.arange(1, n_steps + 1)
-    if snap_to is None:
-        pts = m * tau + (u - 0.5) * (tau / 2.0)
-        lo = m * tau - tau / 4.0
-        hi = m * tau + tau / 4.0
-        pts = np.minimum(np.maximum(pts, lo), hi)
-    else:
-        n = int(snap_to)
-        if n < n_steps or n % n_steps != 0:
-            raise ValueError(f"snap lattice ({n}) must be a multiple of n_steps ({n_steps})")
-        rho = n // n_steps
-        half = rho // 4
-        count = 2 * half + 1
-        offs = np.minimum((u * count).astype(np.int64), count - 1) - half
-        idx = m * rho + offs
-        pts = idx * horizon / n
-    points = np.concatenate([[0.0], pts])
-    return _check_grid(TimeGrid(points=points, mean_step=tau, kind="random"))
+    offs = np.minimum((u * count).astype(np.int64), count - 1) - half
+    idx = np.arange(1, n_steps + 1) * rho + offs
+    points = np.concatenate([[0.0], idx * horizon / n])
+    return _check_grid(TimeGrid(points=points, mean_step=horizon / n_steps, kind="random"))
 
 
 # ---------------------------------------------------------------------------

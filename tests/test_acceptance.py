@@ -39,13 +39,14 @@ from oracles import restriction, stiffness, tensor_s_rows
 
 from splap.analysis import (
     CorrectionError,
+    _path_layout,
     bias,
     corrected_rate,
     fit_rate,
     monte_carlo_estimate,
     path_error,
 )
-from splap.config import parse_config, phi_function, regression_taus
+from splap.config import ExperimentConfig, parse_config, phi_function, regression_taus
 from splap.constitutive import GrowthParams, tensor_f_rows
 from splap.experiment import read_results_csv, run_experiment
 from splap.fem import assemble
@@ -257,14 +258,18 @@ def test_nested_noise_exactness():
 
 
 def test_random_grid_law():
+    # the grids the experiment draws: on the default random protocol's
+    # lattice, where tau spans rho = n_lattice / M lattice steps
     failures = []
     n_grids = 10**5
     m_steps = 8
     tau = 1.0 / m_steps
+    _, _, n_lattice = _path_layout(ExperimentConfig(grid_kind="random"))
+    h = (n_lattice // m_steps) // 4
     sums = np.zeros(m_steps - 1)
     targets = tau * np.arange(1, m_steps)
     for seed in range(n_grids):
-        pts = random_time_grid(seed, m_steps, 1.0).points
+        pts = random_time_grid(seed, m_steps, 1.0, snap_to=n_lattice).points
         inner = pts[1:-1]
         if np.any(np.abs(inner - targets) > tau / 4):
             failures.append(f"seed {seed}: grid point outside its window")
@@ -275,8 +280,9 @@ def test_random_grid_law():
             break
         sums += inner
     if not failures:
-        # each interior point is uniform on a window of width tau/2
-        se = (tau / 2) / np.sqrt(12.0) / np.sqrt(n_grids)
+        # each interior point is uniform on the 2h + 1 lattice points of its
+        # window, of variance h (h + 1) / 3 lattice steps squared
+        se = np.sqrt(h * (h + 1) / 3.0) / n_lattice / np.sqrt(n_grids)
         dev = np.abs(sums / n_grids - targets)
         if np.any(dev > 4 * se):
             failures.append(f"empirical means deviate {dev!r} (4 SE = {4 * se:.3e})")

@@ -145,39 +145,25 @@ def test_uniform_grid_validation():
         uniform_time_grid(4, 0.0)
 
 
-def test_random_grid_law():
-    # windows t_m in [m tau - tau/4, m tau + tau/4], steps in [tau/2, 3 tau/2]
-    n_steps, horizon = 4, 1.0
-    tau = horizon / n_steps
-    first = []
-    for seed in range(100_000):
-        g = random_time_grid(seed, n_steps, horizon)
-        m = np.arange(1, n_steps + 1)
-        assert np.all(g.points[1:] >= m * tau - tau / 4 - 1e-12)
-        assert np.all(g.points[1:] <= m * tau + tau / 4 + 1e-12)
-        steps = np.diff(g.points)
-        assert np.all(steps >= tau / 2 - 1e-12)
-        assert np.all(steps <= 3 * tau / 2 + 1e-12)
-        assert g.kind == "random"
-        first.append(g.points[1])
-    first = np.asarray(first)
-    # mean of t_1 is tau; uniform on an interval of width tau/2
-    se = (tau / 2) / np.sqrt(12.0) / np.sqrt(first.size)
-    assert abs(first.mean() - tau) < 4.0 * se
-
-
 def test_random_grid_deterministic_in_seed():
-    a = random_time_grid(5, 8, 1.0)
-    b = random_time_grid(5, 8, 1.0)
+    a = random_time_grid(5, 8, 1.0, snap_to=64)
+    b = random_time_grid(5, 8, 1.0, snap_to=64)
     assert np.array_equal(a.points, b.points)
 
 
 def test_random_grid_single_step():
     # M = 1: single interior point in [T - T/4, T + T/4]
     for seed in range(200):
-        g = random_time_grid(seed, 1, 1.0)
+        g = random_time_grid(seed, 1, 1.0, snap_to=8)
         assert g.points.shape == (2,)
         assert 0.75 - 1e-12 <= g.points[1] <= 1.25 + 1e-12
+
+
+def test_random_grid_requires_a_lattice():
+    with pytest.raises(TypeError):
+        random_time_grid(5, 8, 1.0)
+    with pytest.raises(ValueError):
+        random_time_grid(5, 8, 1.0, snap_to=12)
 
 
 def test_random_grid_snapped_lands_on_lattice():
@@ -193,24 +179,33 @@ def test_random_grid_snapped_lands_on_lattice():
         assert np.all(g.points[1:] <= m * tau + tau / 4 + 1e-12)
     # the law at the lattice ratios the harness draws: with rho = n/M
     # lattice steps per tau, t_m is m tau plus a lattice offset uniform on
-    # {-h, ..., h}, h = rho // 4, of variance h (h + 1) / 3 lattice steps squared
+    # {-h, ..., h}, h = rho // 4, of variance h (h + 1) / 3 lattice steps
+    # squared and fourth central moment (k^2 - 1)(3 k^2 - 7) / 240, k = 2h + 1
     cfg = ExperimentConfig(grid_kind="random")
     _, _, n_lattice = _path_layout(cfg)
     lattice_step = cfg.horizon / n_lattice
     n_grids = 5000
     for tau in cfg.tau_ladder:
         n_steps = int(round(cfg.horizon / tau))
-        h = int(round(tau / lattice_step)) // 4
+        rho = n_lattice // n_steps
+        h = rho // 4
         m = np.arange(1, n_steps + 1)
-        sums = np.zeros(n_steps)
+        points = np.empty((n_grids, n_steps))
         for seed in range(n_grids):
             g = random_time_grid(seed, n_steps, cfg.horizon, snap_to=n_lattice)
             steps = np.diff(g.points)
             assert np.all(steps >= tau / 2 - 1e-12)
             assert np.all(steps <= 3 * tau / 2 + 1e-12)
-            sums += g.points[1:]
+            points[seed] = g.points[1:]
         se = np.sqrt(h * (h + 1) / 3.0) * lattice_step / np.sqrt(n_grids)
-        assert np.all(np.abs(sums / n_grids - m * tau) < 4.0 * se), f"tau={tau}"
+        assert np.all(np.abs(points.mean(axis=0) - m * tau) < 4.0 * se), f"tau={tau}"
+        offsets = np.rint(points / lattice_step) - m * rho
+        var = h * (h + 1) / 3.0
+        k = 2 * h + 1
+        mu4 = (k * k - 1) * (3 * k * k - 7) / 240.0
+        se_var = np.sqrt((mu4 - var * var * (n_grids - 3) / (n_grids - 1)) / n_grids)
+        dev = np.abs(offsets.var(axis=0, ddof=1) - var)
+        assert np.all(dev < 4.0 * se_var), f"tau={tau}: variance off by {dev.max():.3g} (4 SE = {4 * se_var:.3g})"
 
 
 def test_noise_coefficient_validation():
