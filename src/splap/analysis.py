@@ -42,8 +42,9 @@ from .config import ExperimentConfig, phi_function, sigma_function
 from .constitutive import GrowthParams
 from .fem import FemOperators, assemble, l2_error_sq, quasinorm_error_sq
 from .mesh import generate_unit_square
-from .stepper import SchemeConfig, Trajectory, grid_path_indices, run_trajectory
+from .stepper import SchemeConfig, Trajectory, run_trajectory
 from .stochastics import (
+    TimeGrid,
     mix_seed,
     noise_from_function,
     random_time_grid,
@@ -69,26 +70,19 @@ class PathError:
     total: float
 
 
-def _locate(points: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of targets inside a sorted point list, up to tol."""
-    pos = np.searchsorted(points, targets)
-    pos = np.clip(pos, 0, points.shape[0] - 1)
-    left = np.clip(pos - 1, 0, points.shape[0] - 1)
-    use_left = np.abs(points[left] - targets) < np.abs(points[pos] - targets)
-    pos = np.where(use_left, left, pos)
-    err = np.abs(points[pos] - targets)
-    if np.any(err > tol):
-        m = int(np.argmax(err))
-        raise ValueError(f"grids are not nested: no fine grid point at t={targets[m]!r}")
-    return pos
-
-
 def path_error(coarse: Trajectory, fine: Trajectory, ops: FemOperators, params: GrowthParams) -> PathError:
-    """Space-time refinement error of a nested trajectory pair."""
-    cpts = coarse.grid.points
-    fpts = fine.grid.points
-    tol = 1e-9 * max(1.0, float(fpts[-1]))
-    pos = _locate(fpts, cpts, tol)
+    """Space-time refinement error of a nested trajectory pair, matched by lattice index.
+
+    The grids must share a lattice, and the fine one must hold every coarse index.
+    """
+    cgrid, fgrid = coarse.grid, fine.grid
+    if (cgrid.horizon, cgrid.n_lattice) != (fgrid.horizon, fgrid.n_lattice):
+        raise ValueError("the coarse and the fine grid live on different time lattices")
+    nested = np.isin(cgrid.index, fgrid.index)
+    if not np.all(nested):
+        raise ValueError(f"grids are not nested: no fine grid point at lattice index {cgrid.index[~nested][0]}")
+    pos = np.searchsorted(fgrid.index, cgrid.index)
+    cpts = cgrid.points
     max_l2 = 0.0
     quasi = 0.0
     for m in range(1, cpts.shape[0]):
@@ -246,12 +240,12 @@ def _runtime(mesh_n: int, phi_expr: str, n_components: int, mode: str, sigma_exp
 def _path_layout(cfg: ExperimentConfig):
     """(n_fine, path_horizon, n_lattice) of the sampled paths.
 
-    Deterministic grids run the reference at tau_ref on a lattice with
-    step tau_ref.  Random grids need a lattice fine enough to give each
-    sampling window interior points (step tau_ref/4) and long enough to
-    hold the last random point, which may exceed T by max(tau)/4.  The
-    reference visits every lattice point up to the last one the
-    replicate's ladder grids reach, and stops there.
+    Every grid of a replicate lives on one lattice of step T/n_lattice,
+    the step of its path.  Deterministic grids run the reference at
+    tau_ref, so the lattice step is tau_ref.  Random grids need a
+    lattice fine enough to give each sampling window interior points
+    (step tau_ref/4), and a path long enough to hold the last random
+    point, which may exceed T by max(tau)/4.
     """
     n_base = int(round(cfg.horizon / cfg.tau_ref))
     if cfg.grid_kind == "deterministic":
@@ -266,11 +260,11 @@ def _path_layout(cfg: ExperimentConfig):
 def _replicate_errors(cfg: ExperimentConfig, p: float, r: int):
     """Errors of one replicate: {tau_index: (total, max_l2, quasi)}.
 
-    All ladder grids are drawn first.  The reference then marches once,
-    only up to the last lattice point those grids reach: the path and
-    the reference grid are sliced there, so every point it visits keeps
-    its bits.  A ladder grid whose points equal the reference's is
-    served by the reference trajectory itself; its log cell carries the
+    All ladder grids are drawn first.  The reference then marches once
+    over every lattice point up to the last one those grids reach: the
+    path is sliced there, so every point the reference visits keeps its
+    bits.  A ladder grid with the reference's lattice indices is served
+    by the reference trajectory itself; its log cell carries the
     reference's iteration count, which a re-run would repeat.
     """
     ops, noise = _runtime(cfg.mesh_n, cfg.phi, cfg.noise_components, cfg.noise_mode, cfg.sigma)
@@ -278,19 +272,18 @@ def _replicate_errors(cfg: ExperimentConfig, p: float, r: int):
     initial = np.full(ops.n_vertices, float(cfg.u0))
     n_fine, path_horizon, n_lattice = _path_layout(cfg)
     path = sample_path(mix_seed(cfg.master_seed, r), path_horizon, n_fine, cfg.noise_components)
-    ref_grid = uniform_time_grid(n_fine, path_horizon)
 
     def ladder_grid(i, tau):
         n_steps = int(round(cfg.horizon / tau))
         if cfg.grid_kind == "deterministic":
-            return uniform_time_grid(n_steps, cfg.horizon)
+            return uniform_time_grid(n_steps, cfg.horizon, n_lattice)
         seed = mix_seed(mix_seed(cfg.master_seed, r), i + 1)
         return random_time_grid(seed, n_steps, cfg.horizon, snap_to=n_lattice)
 
     grids = [ladder_grid(i, tau) for i, tau in enumerate(cfg.tau_ladder)]
-    k = max(int(grid_path_indices(grid, path)[-1]) for grid in grids)
+    k = max(int(grid.index[-1]) for grid in grids)
     path = replace(path, increments=path.increments[:k])
-    ref_grid = replace(ref_grid, points=ref_grid.points[: k + 1])
+    ref_grid = TimeGrid(np.arange(k + 1), cfg.horizon, n_lattice)
 
     def scheme(grid):
         return SchemeConfig(
@@ -312,7 +305,7 @@ def _replicate_errors(cfg: ExperimentConfig, p: float, r: int):
     cells = [cell("reference", fine)]
     rows = {}
     for i, (tau, grid) in enumerate(zip(cfg.tau_ladder, grids)):
-        if np.array_equal(grid.points, ref_grid.points):
+        if np.array_equal(grid.index, ref_grid.index):
             coarse = fine
         else:
             coarse = run_trajectory(scheme(grid))

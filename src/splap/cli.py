@@ -9,8 +9,9 @@ Three subcommands:
   splap plot --csv FILE [--out DIR] [--tau-ref X]
       re-render the per-exponent figures from a persisted results.csv
 
-Exit codes: 0 clean run, 1 completed with failed cells, 2 bad usage or
-invalid configuration.
+Exit codes: 0 clean run; 1 completed, but with failed replicates, a
+mean curve that admits no fit, or a bias relation with no root; 2 bad
+usage or invalid configuration.
 """
 
 from __future__ import annotations

@@ -215,6 +215,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"fit tau {tau!r} is not a ladder entry")
         if len(cfg.fit_taus) < 2:
             raise ConfigError("fit_taus needs at least two entries")
+        if len(set(cfg.fit_taus)) != len(cfg.fit_taus):
+            raise ConfigError("fit_taus has duplicate entries")
+    regression_taus(cfg)
     phi_function(cfg.phi)
     if cfg.noise_mode == "multiplicative":
         sigma_function(cfg.sigma)

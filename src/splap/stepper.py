@@ -7,11 +7,11 @@ convex per-step problem with broken forcing
     f_m = u_{m-1} + Phi * sigma(u_{m-1}) * (W(t_m)-W(t_m-1))  (multiplicative)
 
 where the Brownian increment is read off a pre-sampled fine-grid path.
-Every grid point must sit exactly on the path's fine lattice, so a
-coarse and a fine trajectory driven by the same path see identical
-partial sums of the same increments.  The initial state is used as
-given (it need not vanish on the boundary; all later states do), with
-an optional clip that zeroes its boundary values.
+The grid lives on the path's lattice and reads the increments by its
+lattice indices, so a coarse and a fine trajectory driven by the same
+path see identical partial sums of the same increments.  The initial
+state is used as given (it need not vanish on the boundary; all later
+states do), with an optional clip that zeroes its boundary values.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Everything needed to march one trajectory."""
+    """Everything needed to march one trajectory; the grid lives on the path's lattice."""
 
     ops: FemOperators
     params: GrowthParams
@@ -59,6 +59,12 @@ class SchemeConfig:
         object.__setattr__(self, "initial", initial)
         if not (np.isfinite(self.solver_tol) and self.solver_tol > 0.0):
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol!r}")
+        grid, path = self.grid, self.path
+        step = grid.horizon / grid.n_lattice
+        if not np.isclose(step, path.finest_step, rtol=1e-12, atol=0.0):
+            raise ValueError(f"grid lattice step {step!r} is not the path step {path.finest_step!r}")
+        if grid.index[-1] > path.n_fine:
+            raise ValueError(f"grid reaches lattice index {grid.index[-1]}, past the path's {path.n_fine} increments")
 
 
 @dataclass
@@ -70,31 +76,10 @@ class Trajectory:
     reports: list[SolveReport] = field(default_factory=list)
 
 
-def grid_path_indices(grid: TimeGrid, path: NoisePath) -> np.ndarray:
-    """Map grid points to fine-lattice indices; exact matches required."""
-    pts = grid.points
-    tau_fine = path.finest_step
-    idx = np.rint(pts / tau_fine).astype(np.int64)
-    if idx[0] != 0:
-        raise ValueError("grid must start at lattice index 0")
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError("grid points collapse on the path lattice")
-    if idx[-1] > path.n_fine:
-        raise ValueError(
-            f"grid reaches lattice index {int(idx[-1])} but the path has only {path.n_fine} increments"
-        )
-    err = np.abs(idx * tau_fine - pts)
-    tol = 1e-9 * max(tau_fine, float(pts[-1]))
-    if np.any(err > tol):
-        m = int(np.argmax(err))
-        raise ValueError(f"grid point {m} (t={pts[m]!r}) is not on the path lattice")
-    return idx
-
-
 def run_trajectory(cfg: SchemeConfig) -> Trajectory:
     """March the scheme across the whole grid."""
     ops = cfg.ops
-    idx = grid_path_indices(cfg.grid, cfg.path)
+    idx = cfg.grid.index
     n_steps = cfg.grid.n_steps
 
     states = np.empty((n_steps + 1, ops.n_vertices))

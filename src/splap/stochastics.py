@@ -16,12 +16,12 @@ increment is the ordered left-to-right partial sum of the stored fine
 increments; nothing is ever re-sampled, so nested coarse/fine schemes
 driven by one path see exactly the same Brownian motion.
 
-Time grids come in two kinds.  Deterministic grids are the uniform
-lattice m*T/M.  Random grids live on a path's fine lattice: with
-tau = T/M, each point t_m is drawn uniformly over the lattice points of
-its window [m*tau - tau/4, m*tau + tau/4].  The window is symmetric
-around m*tau, so t_m has mean m*tau; the points stay strictly
-increasing and every step lies within [tau/2, 3*tau/2].
+A time grid holds the rising indices of its points on the lattice of
+step T/n_lattice that its path is sampled on.  Deterministic grids are
+the points m*T/M.  Random grids, with tau = T/M, draw each point t_m
+uniformly over the lattice points of its window [m*tau - tau/4,
+m*tau + tau/4], symmetric around m*tau, so t_m has mean m*tau; the
+points stay strictly increasing and every step lies in [tau/2, 3*tau/2].
 """
 
 from __future__ import annotations
@@ -121,60 +121,49 @@ def increment(path: NoisePath, a: int, b: int) -> np.ndarray:
 # Time grids
 # ---------------------------------------------------------------------------
 
-_GRID_KINDS = ("deterministic", "random")
-
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Partition 0 = t_0 < t_1 < ... < t_M of (approximately) [0, T].
+    """Partition 0 = t_0 < ... < t_M, t_m = index[m] * horizon / n_lattice.
 
-    ``mean_step`` is tau = T/M of the nominal horizon; for random grids
-    the last point only matches T up to tau/4.
+    Grids on one lattice share each common point's float, and a grid
+    meets a path on its lattice by index, not by float.
     """
 
-    points: np.ndarray
-    mean_step: float
-    kind: str
+    index: np.ndarray
+    horizon: float
+    n_lattice: int
+
+    def __post_init__(self) -> None:
+        index = np.asarray(self.index, dtype=np.int64)
+        if index.ndim != 1 or index.shape[0] < 2 or index[0] != 0 or np.any(np.diff(index) <= 0):
+            raise ValueError("a time grid needs at least two lattice indices, rising strictly from 0")
+        object.__setattr__(self, "index", index)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.index * self.horizon / self.n_lattice
 
     @property
     def n_steps(self) -> int:
-        return self.points.shape[0] - 1
+        return self.index.shape[0] - 1
 
 
-def _check_grid(grid: TimeGrid) -> TimeGrid:
-    pts = grid.points
-    if pts.ndim != 1 or pts.shape[0] < 2:
-        raise ValueError("a time grid needs at least two points")
-    if pts[0] != 0.0:
-        raise ValueError(f"grid must start at 0, got {pts[0]!r}")
-    if np.any(np.diff(pts) <= 0.0):
-        raise ValueError("grid points must be strictly increasing")
-    if grid.kind not in _GRID_KINDS:
-        raise ValueError(f"unknown grid kind {grid.kind!r}")
-    if not (np.isfinite(grid.mean_step) and grid.mean_step > 0.0):
-        raise ValueError(f"mean_step must be positive, got {grid.mean_step!r}")
-    if grid.kind == "random":
-        tau = grid.mean_step
-        m = np.arange(1, pts.shape[0])
-        slack = 16.0 * np.finfo(float).eps * (1.0 + m * tau)
-        if np.any(pts[1:] < m * tau - tau / 4.0 - slack) or np.any(pts[1:] > m * tau + tau / 4.0 + slack):
-            raise ValueError("random grid point outside its sampling window")
-        dt = np.diff(pts)
-        # a step combines the rounding slack of both endpoints
-        if np.any(dt < tau / 2.0 - 2.0 * slack) or np.any(dt > 1.5 * tau + 2.0 * slack):
-            raise ValueError("random grid step outside [tau/2, 3 tau/2]")
-    return grid
-
-
-def uniform_time_grid(n_steps: int, horizon: float) -> TimeGrid:
-    """Deterministic lattice t_m = m * horizon / n_steps."""
+def _steps_per_tau(n_steps: int, horizon: float, n_lattice: int) -> int:
+    """Lattice steps rho = n_lattice / n_steps per mean step T / n_steps."""
     if n_steps < 1 or int(n_steps) != n_steps:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    n_steps = int(n_steps)
-    points = np.arange(n_steps + 1) * horizon / n_steps
-    return _check_grid(TimeGrid(points=points, mean_step=horizon / n_steps, kind="deterministic"))
+    if n_lattice < n_steps or n_lattice % n_steps != 0:
+        raise ValueError(f"lattice ({n_lattice}) must be a multiple of n_steps ({n_steps})")
+    return int(n_lattice) // int(n_steps)
+
+
+def uniform_time_grid(n_steps: int, horizon: float, n_lattice: int) -> TimeGrid:
+    """Grid t_m = m * horizon / n_steps on a lattice of n_lattice steps, a multiple of n_steps."""
+    rho = _steps_per_tau(n_steps, horizon, n_lattice)
+    return TimeGrid(np.arange(int(n_steps) + 1) * rho, horizon, n_lattice)
 
 
 def random_time_grid(seed: int, n_steps: int, horizon: float, snap_to: int) -> TimeGrid:
@@ -182,27 +171,18 @@ def random_time_grid(seed: int, n_steps: int, horizon: float, snap_to: int) -> T
 
     With rho = snap_to/n_steps lattice steps per tau and h = rho // 4,
     t_m is m*tau plus an offset drawn uniformly from {-h, ..., h}
-    lattice steps, so every grid point is a lattice point inside
-    [m tau - tau/4, m tau + tau/4] (the last may pass horizon by up to
-    tau/4, so a path must extend that far).  snap_to must be a multiple
-    of n_steps.
+    lattice steps, so by construction each point lies in
+    [m tau - tau/4, m tau + tau/4] and each step in [tau/2, 3 tau/2]
+    (the last point may pass horizon by up to tau/4, so a path must
+    extend that far).  snap_to must be a multiple of n_steps.
     """
-    if n_steps < 1 or int(n_steps) != n_steps:
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    n_steps = int(n_steps)
-    n = int(snap_to)
-    if n < n_steps or n % n_steps != 0:
-        raise ValueError(f"snap lattice ({n}) must be a multiple of n_steps ({n_steps})")
-    rho = n // n_steps
+    rho = _steps_per_tau(n_steps, horizon, snap_to)
     half = rho // 4
     count = 2 * half + 1
-    u = _uniform01(seed, n_steps)
+    u = _uniform01(seed, int(n_steps))
     offs = np.minimum((u * count).astype(np.int64), count - 1) - half
-    idx = np.arange(1, n_steps + 1) * rho + offs
-    points = np.concatenate([[0.0], idx * horizon / n])
-    return _check_grid(TimeGrid(points=points, mean_step=horizon / n_steps, kind="random"))
+    idx = np.arange(1, int(n_steps) + 1) * rho + offs
+    return TimeGrid(np.concatenate([[0], idx]), horizon, snap_to)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from splap.psolver import (
 from splap.psolver import gradient as step_gradient
 from splap.psolver import objective as step_objective
 from splap.stepper import SchemeConfig, run_trajectory
-from splap.stochastics import mix_seed, random_time_grid, sample_path, uniform_time_grid
+from splap.stochastics import TimeGrid, mix_seed, random_time_grid, sample_path, uniform_time_grid
 
 
 def _as_matrix(xi):
@@ -415,7 +415,7 @@ def replicate_errors(cfg, p, r):
     initial = np.full(ops.n_vertices, float(cfg.u0))
     n_fine, path_horizon, n_lattice = _path_layout(cfg)
     path = sample_path(mix_seed(cfg.master_seed, r), path_horizon, n_fine, cfg.noise_components)
-    ref_grid = uniform_time_grid(n_fine, path_horizon)
+    ref_grid = TimeGrid(np.arange(n_fine + 1), cfg.horizon, n_lattice)
 
     def scheme(grid):
         return SchemeConfig(
@@ -442,7 +442,7 @@ def replicate_errors(cfg, p, r):
     for i, tau in enumerate(cfg.tau_ladder):
         n_steps = int(round(cfg.horizon / tau))
         if cfg.grid_kind == "deterministic":
-            grid = uniform_time_grid(n_steps, cfg.horizon)
+            grid = uniform_time_grid(n_steps, cfg.horizon, n_lattice)
         else:
             grid = random_time_grid(
                 mix_seed(mix_seed(cfg.master_seed, r), i + 1),

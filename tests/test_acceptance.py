@@ -103,7 +103,7 @@ def test_linear_oracle_equivalence():
         (1.0 / np.sqrt(np.linalg.norm(bary, axis=1)))[:, None]
     )
     path = sample_path(7, 1.0, 16, 1)
-    grid = uniform_time_grid(16, 1.0)
+    grid = uniform_time_grid(16, 1.0, 16)
     cfg = SchemeConfig(
         ops=ops,
         params=GrowthParams(2.0),
@@ -115,7 +115,7 @@ def test_linear_oracle_equivalence():
     )
     traj = run_trajectory(cfg)
     r = restriction(ops)
-    tau = grid.mean_step
+    tau = grid.points[1]
     system = sp.csc_matrix(r @ (ops.mass + tau * stiffness(ops)) @ r.T)
     u = cfg.initial.copy()
     for m in range(1, 17):
@@ -311,7 +311,7 @@ def test_mesh_halving_reduces_quasinorm_error():
         return u
 
     horizon = 0.25
-    grid = uniform_time_grid(32, horizon)
+    grid = uniform_time_grid(32, horizon, 32)
     path = sample_path(0, horizon, 32, 1)
     params = GrowthParams(2.0)
     trajs = {}

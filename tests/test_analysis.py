@@ -22,7 +22,7 @@ from splap.config import ExperimentConfig
 from splap.constitutive import GrowthParams
 from splap.fem import assemble
 from splap.mesh import generate_unit_square
-from splap.stepper import SchemeConfig, Trajectory, grid_path_indices, run_trajectory
+from splap.stepper import SchemeConfig, Trajectory, run_trajectory
 from splap.stochastics import make_noise_coefficient, sample_path, uniform_time_grid
 
 
@@ -37,7 +37,7 @@ def heat_pair(n=4, coarse_steps=4, fine_steps=8, horizon=1.0, p=2.0, phi_scale=0
         cfg = SchemeConfig(
             ops=ops,
             params=params,
-            grid=uniform_time_grid(m, horizon),
+            grid=uniform_time_grid(m, horizon, fine_steps),
             noise=noise,
             path=path,
             initial=np.ones(mesh.n_vertices),
@@ -136,14 +136,14 @@ def test_path_error_scaling_of_l2_term():
 
 
 def test_path_error_rejects_non_nested():
-    ops, params, _, fine = heat_pair(fine_steps=8)
+    ops, params, coarse, fine = heat_pair(fine_steps=8)
     mesh = ops.mesh
     noise = make_noise_coefficient(np.zeros((mesh.n_simplices, 1)))
     path = sample_path(2, 1.0, 6, 1)
     cfg = SchemeConfig(
         ops=ops,
         params=params,
-        grid=uniform_time_grid(3, 1.0),
+        grid=uniform_time_grid(3, 1.0, 6),
         noise=noise,
         path=path,
         initial=np.ones(mesh.n_vertices),
@@ -151,6 +151,9 @@ def test_path_error_rejects_non_nested():
     odd = run_trajectory(cfg)
     with pytest.raises(ValueError):
         path_error(odd, fine, ops, params)
+    # one lattice, but the 4-step grid lacks the odd indices of the 8-step one
+    with pytest.raises(ValueError, match="not nested"):
+        path_error(fine, coarse, ops, params)
 
 
 def test_fit_rate_exact_power_laws():
@@ -292,41 +295,57 @@ def test_monte_carlo_smoke_and_zero_noise_std():
 
 
 def test_monte_carlo_worker_independence():
-    cfg = ExperimentConfig(
-        p_list=(1.5,),
-        mesh_n=4,
-        tau_ladder=(0.5, 0.25),
-        tau_ref=0.125,
-        n_replicates=4,
-        master_seed=7,
-    )
-    serial = monte_carlo_estimate(cfg, 1.5, workers=1)
-    parallel = monte_carlo_estimate(cfg, 1.5, workers=2)
-    assert np.array_equal(serial.totals, parallel.totals)
-    assert np.array_equal(serial.max_l2, parallel.max_l2)
-    assert np.array_equal(serial.quasi, parallel.quasi)
+    # a pool of 2 workers reproduces the serial table bit for bit, on
+    # deterministic and on random grids
+    for grid_kind in ("deterministic", "random"):
+        cfg = ExperimentConfig(
+            p_list=(1.5,),
+            mesh_n=4,
+            tau_ladder=(0.5, 0.25),
+            tau_ref=0.125,
+            n_replicates=4,
+            master_seed=7,
+            grid_kind=grid_kind,
+        )
+        serial = monte_carlo_estimate(cfg, 1.5, workers=1)
+        parallel = monte_carlo_estimate(cfg, 1.5, workers=2)
+        assert np.array_equal(serial.totals, parallel.totals)
+        assert np.array_equal(serial.max_l2, parallel.max_l2)
+        assert np.array_equal(serial.quasi, parallel.quasi)
 
 
-# Ladders for the reference-sharing tests.  The lattices are dyadic, so
-# the reference and the ladder grids put each shared point on the same
-# float.
-def sharing_config(grid_kind, ladder, tau_ref=0.125):
+def sharing_config(grid_kind, ladder, tau_ref=0.125, horizon=1.0):
     return ExperimentConfig(
         mesh_n=4,
         tau_ladder=ladder,
         tau_ref=tau_ref,
+        horizon=horizon,
         n_replicates=2,
         master_seed=3,
         grid_kind=grid_kind,
     )
 
 
+# Non-dyadic protocols: T = 3/10 spans a lattice of step 3/320 on random
+# grids, and 1/12 at T = 1 is both a ladder entry and the reference.
+RANDOM_TENTHS = ("random", (3 / 20, 3 / 40), 3 / 80, 3 / 10)
+DETERMINISTIC_TWELFTHS = ("deterministic", (1 / 2, 1 / 6, 1 / 12), 1 / 12, 1.0)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.5])
-@pytest.mark.parametrize("grid_kind", ["deterministic", "random"])
-def test_replicate_errors_match_unshared_oracle(grid_kind, p):
-    # the ladder ends at tau_ref: on deterministic grids its last entry
+@pytest.mark.parametrize(
+    "grid_kind, ladder, tau_ref, horizon",
+    [
+        pytest.param("deterministic", (0.5, 0.25, 0.125), 0.125, 1.0, id="deterministic"),
+        pytest.param("random", (0.5, 0.25, 0.125), 0.125, 1.0, id="random"),
+        pytest.param(*RANDOM_TENTHS, id="random-T0.3"),
+        pytest.param(*DETERMINISTIC_TWELFTHS, id="deterministic-T1-twelfths"),
+    ],
+)
+def test_replicate_errors_match_unshared_oracle(grid_kind, ladder, tau_ref, horizon, p):
+    # a ladder ending at tau_ref: on deterministic grids its last entry
     # is the reference; on random grids the reference stops early
-    cfg = sharing_config(grid_kind, (0.5, 0.25, 0.125))
+    cfg = sharing_config(grid_kind, ladder, tau_ref, horizon)
     for r in range(cfg.n_replicates):
         rows, cells = _replicate_errors(cfg, p, r)
         want_rows, want_cells = oracles.replicate_errors(cfg, p, r)
@@ -345,15 +364,17 @@ def test_replicate_errors_match_unshared_oracle(grid_kind, p):
 
 
 @pytest.mark.parametrize(
-    "grid_kind, ladder, reuses",
+    "grid_kind, ladder, tau_ref, horizon, reuses",
     [
-        ("deterministic", (0.5, 0.25, 0.125), True),
-        ("deterministic", (0.5, 0.25), False),
-        ("random", (0.5, 0.25, 0.125), False),
+        pytest.param("deterministic", (0.5, 0.25, 0.125), 0.125, 1.0, True, id="deterministic-ladder0-True"),
+        pytest.param("deterministic", (0.5, 0.25), 0.125, 1.0, False, id="deterministic-ladder1-False"),
+        pytest.param("random", (0.5, 0.25, 0.125), 0.125, 1.0, False, id="random-ladder2-False"),
+        pytest.param(*RANDOM_TENTHS, False, id="random-T0.3-False"),
+        pytest.param(*DETERMINISTIC_TWELFTHS, True, id="deterministic-T1-twelfths-True"),
     ],
 )
-def test_reference_runs_once_up_to_the_last_point_read(monkeypatch, grid_kind, ladder, reuses):
-    cfg = sharing_config(grid_kind, ladder)
+def test_reference_runs_once_up_to_the_last_point_read(monkeypatch, grid_kind, ladder, tau_ref, horizon, reuses):
+    cfg = sharing_config(grid_kind, ladder, tau_ref, horizon)
     calls = []
 
     def counting(scheme):
@@ -372,4 +393,7 @@ def test_reference_runs_once_up_to_the_last_point_read(monkeypatch, grid_kind, l
         assert all(c.grid.n_steps < c.path.n_fine for c in coarse)
         # it ends on the last lattice point any ladder grid reaches
         assert ref.grid.points[-1] == max(c.grid.points[-1] for c in coarse)
-        assert ref.path.n_fine == max(int(grid_path_indices(c.grid, ref.path)[-1]) for c in coarse)
+        assert ref.path.n_fine == max(int(c.grid.index[-1]) for c in coarse)
+        # every ladder point is the reference's float at its lattice index
+        for c in coarse:
+            assert np.array_equal(c.grid.points, ref.grid.points[c.grid.index])

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splap.cli import main
 from splap.config import (
     _KEYMAP,
     ConfigError,
@@ -140,6 +141,26 @@ def test_regression_taus_default_excludes_endpoints():
 def test_regression_taus_explicit_override():
     cfg = parse_config("fit_taus = 1/2, 1/4\n")
     assert regression_taus(cfg) == (0.5, 0.25)
+
+
+def test_validate_rejects_ladder_without_auto_fit(tmp_path):
+    # one ladder entry strictly between tau_ref and T leaves auto no rate
+    text = "tau_ladder = 1, 1/2\ntau_ref = 1/2\n"
+    with pytest.raises(ConfigError, match="at least two ladder entries"):
+        parse_config(text)
+    cfg_file = tmp_path / "one-fit.cfg"
+    cfg_file.write_text(text)
+    assert main(["validate", "--config", str(cfg_file)]) == 2
+
+
+def test_validate_rejects_duplicate_fit_taus(tmp_path):
+    # equal fit steps admit no regression slope
+    text = "mesh_n = 2\nn_r = 2\nfit_taus = 1/4, 1/4\n"
+    with pytest.raises(ConfigError, match="duplicate"):
+        parse_config(text)
+    cfg_file = tmp_path / "equal-fit.cfg"
+    cfg_file.write_text(text)
+    assert main(["validate", "--config", str(cfg_file)]) == 2
 
 
 def test_echo_round_trip():

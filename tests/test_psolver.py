@@ -919,7 +919,7 @@ def test_primal_dual_halves_newton_iterations_at_p_1_1(monkeypatch):
         SchemeConfig(
             ops=ops,
             params=GrowthParams(1.1),
-            grid=uniform_time_grid(n_steps, horizon),
+            grid=uniform_time_grid(n_steps, horizon, n_steps),
             noise=noise,
             path=sample_path(7, horizon, n_steps, 1),
             initial=np.ones(ops.n_vertices),

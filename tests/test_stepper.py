@@ -1,5 +1,7 @@
 """Tests for trajectory marching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,6 @@ from splap.stepper import (
     SchemeConfig,
     StepFailure,
     Trajectory,
-    grid_path_indices,
     run_trajectory,
 )
 from splap.stochastics import (
@@ -35,7 +36,7 @@ def heat_config(n=8, n_steps=8, horizon=1.0, p=2.0, seed=1, phi_scale=0.0):
     ops = assemble(mesh)
     noise = make_noise_coefficient(phi_scale * np.ones((mesh.n_simplices, 1)))
     path = sample_path(seed, horizon, n_steps, 1)
-    grid = uniform_time_grid(n_steps, horizon)
+    grid = uniform_time_grid(n_steps, horizon, n_steps)
     initial = np.ones(mesh.n_vertices)
     return SchemeConfig(
         ops=ops,
@@ -48,17 +49,16 @@ def heat_config(n=8, n_steps=8, horizon=1.0, p=2.0, seed=1, phi_scale=0.0):
 
 
 def test_grid_path_indices_exact():
-    path = sample_path(1, 1.0, 32, 1)
-    grid = uniform_time_grid(8, 1.0)
-    idx = grid_path_indices(grid, path)
-    assert np.array_equal(idx, np.arange(0, 33, 4))
+    grid = uniform_time_grid(8, 1.0, 32)
+    assert np.array_equal(grid.index, np.arange(0, 33, 4))
+    assert np.array_equal(grid.points, np.arange(9) / 8)
 
 
 def test_grid_path_indices_rejects_off_lattice():
+    cfg = heat_config(n=2, n_steps=4)
     path = sample_path(1, 1.0, 10, 1)
-    grid = uniform_time_grid(4, 1.0)
     with pytest.raises(ValueError):
-        grid_path_indices(grid, path)
+        dataclasses.replace(cfg, path=path)
 
 
 def test_heat_trajectory_matches_linear_chain():
@@ -67,7 +67,7 @@ def test_heat_trajectory_matches_linear_chain():
     traj = run_trajectory(cfg)
     ops = cfg.ops
     r = restriction(ops)
-    system = sp.csc_matrix(r @ (ops.mass + cfg.grid.mean_step * stiffness(ops)) @ r.T)
+    system = sp.csc_matrix(r @ (ops.mass + cfg.grid.points[1] * stiffness(ops)) @ r.T)
     u = cfg.initial.copy()
     for m in range(1, cfg.grid.n_steps + 1):
         rhs = r @ (ops.mass @ u)
@@ -177,7 +177,7 @@ def test_refinement_error_decreases_with_tau():
         cfg = SchemeConfig(
             ops=ops,
             params=params,
-            grid=uniform_time_grid(m, horizon),
+            grid=uniform_time_grid(m, horizon, 64),
             noise=noise,
             path=path,
             initial=np.ones(mesh.n_vertices),

@@ -123,26 +123,29 @@ def test_mix_seed_streams_distinct():
 
 
 def test_uniform_grid_examples():
-    g = uniform_time_grid(4, 1.0)
+    g = uniform_time_grid(4, 1.0, 8)
     assert np.allclose(g.points, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)
-    assert g.kind == "deterministic"
+    assert np.array_equal(g.index, [0, 2, 4, 6, 8])
     assert g.n_steps == 4
     assert np.allclose(np.diff(g.points), 0.25)
-    assert g.mean_step == 0.25
+    assert g.points[1] == 0.25
 
 
 def test_uniform_grid_nesting():
-    coarse = uniform_time_grid(4, 1.0)
-    fine = uniform_time_grid(16, 1.0)
-    # power of two refinements nest exactly
+    coarse = uniform_time_grid(4, 1.0, 16)
+    fine = uniform_time_grid(16, 1.0, 16)
+    # grids on one lattice nest by index and share each common point's float
+    assert np.all(np.isin(coarse.index, fine.index))
     assert np.all(np.isin(coarse.points, fine.points))
 
 
 def test_uniform_grid_validation():
     with pytest.raises(ValueError):
-        uniform_time_grid(0, 1.0)
+        uniform_time_grid(0, 1.0, 4)
     with pytest.raises(ValueError):
-        uniform_time_grid(4, 0.0)
+        uniform_time_grid(4, 0.0, 4)
+    with pytest.raises(ValueError):
+        uniform_time_grid(4, 1.0, 6)
 
 
 def test_random_grid_deterministic_in_seed():
