@@ -30,7 +30,10 @@ workers           worker processes, 0 = machine size  (default 0)
 
 ``fit_taus = auto`` regresses over the ladder entries strictly between
 tau_ref and T (the largest step, a single-step trajectory, and the
-reference entry itself carry no rate information).
+reference entry itself carry no rate information).  An explicit list
+may not hold tau_ref on deterministic grids: the reference itself
+serves that entry, so its error is 0.  Random grids run the reference
+at tau_ref/4, so there the entry tau_ref stays fittable.
 """
 
 from __future__ import annotations
@@ -213,6 +216,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for tau in cfg.fit_taus:
             if tau not in cfg.tau_ladder:
                 raise ConfigError(f"fit tau {tau!r} is not a ladder entry")
+            if cfg.grid_kind == "deterministic" and round(tau / cfg.tau_ref) == 1:
+                raise ConfigError(f"fit tau {tau!r} is tau_ref, which the reference serves with error 0")
         if len(cfg.fit_taus) < 2:
             raise ConfigError("fit_taus needs at least two entries")
         if len(set(cfg.fit_taus)) != len(cfg.fit_taus):

@@ -25,8 +25,10 @@ pattern
     unknowns, fixed per mesh, in which every interior Newton system is a
     LAPACK lower band of half-width kd; R P R' and R A R' as band data
     vectors; and the fixed operator that maps stacked per-simplex
-    weights to the band data of their weighted stiffness.  A Newton matrix is then a band data vector, the mass
-    plus one sparse product.
+    weights to the band data of their weighted stiffness.  A Newton
+    matrix is then a band data vector, the mass plus one sparse product.
+    The pattern also keeps the Cholesky factor of the p = 2 start system
+    R (P + tau A) R' for the last step size tau it was asked for.
 point_op
     [D1 R'; D2 R'; R P R'], (2*ns + n_interior) x n_interior: one
     product with the interior coefficients gives both gradient
@@ -44,13 +46,14 @@ load_op
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .constitutive import GrowthParams, tensor_f_rows
+from .constitutive import GrowthParams, row_norms_sq, tensor_f_rows
 from .mesh import Mesh, MeshError, _signed_areas
 
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -77,6 +80,13 @@ class InteriorPattern:
     band entry that (a, b) adds into, each pair counted once in the
     lower triangle.  ``mass`` and ``stiffness`` are R P R' and R A R'
     as band data vectors.
+
+    ``start_factor`` keeps one slot: the step size and Cholesky factor
+    of the last start system it factored.  A deterministic grid asks
+    for the same step size on every step of a trajectory, so each
+    trajectory factors once; a random grid draws a new one on almost
+    every step, and one slot keeps the memory of a long run at one
+    factor, where one per step size would grow with the lattice.
     """
 
     perm: np.ndarray
@@ -84,6 +94,7 @@ class InteriorPattern:
     products: sp.csc_matrix
     mass: np.ndarray
     stiffness: np.ndarray
+    _start: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def weighted_stiffness(self, w11: np.ndarray, w12: np.ndarray, w22: np.ndarray) -> np.ndarray:
         """Band data of sum_j w11_j gx gx' + w12_j (gx gy' + gy gx') + w22_j gy gy', w per simplex."""
@@ -92,6 +103,16 @@ class InteriorPattern:
     def band(self, data: np.ndarray) -> np.ndarray:
         """The (kd + 1, n_i) F-contiguous lower band holding ``data``."""
         return data.reshape(self.perm.shape[0], self.kd + 1).T
+
+    def start_factor(self, tau: float) -> np.ndarray | None:
+        """Lower Cholesky band of mass + tau * stiffness (LAPACK dpbtrf), None if not positive definite."""
+        cached_tau, factor = self._start
+        if cached_tau != tau:
+            factor, info = dpbtrf(self.band(self.mass + tau * self.stiffness), lower=1, overwrite_ab=1)
+            if info != 0:
+                factor = None
+            object.__setattr__(self, "_start", (tau, factor))
+        return factor
 
 
 def _interior_pattern(
@@ -261,4 +282,4 @@ def quasinorm_error_sq(ops: FemOperators, u: np.ndarray, v: np.ndarray, params: 
     gu = gradient_per_simplex(ops, u)
     gv = gradient_per_simplex(ops, v)
     df = tensor_f_rows(gu, params) - tensor_f_rows(gv, params)
-    return float(ops.areas @ np.sum(df * df, axis=1))
+    return float(ops.areas @ row_norms_sq(df))

@@ -19,17 +19,23 @@ operator ``FemOperators.point_op``, which gives both gradient
 components on every simplex and the interior part of P u; the smoothed
 norms and their power (kappa + n)**(p-2), from which the energy, the
 tensor, the Hessian and the dual flux all derive, are computed once.
-That state is kept in a one-slot memo on the StepProblem, keyed on the
-value of u and on eps, so the accepted line-search trial's state serves
-the gradient and the Newton matrix.  The residual is one more product,
-with ``FemOperators.flux_op``, formed once per point and kept with it.
+That state is kept in a one-slot memo on the StepProblem, keyed on eps
+and on u: first by identity with the memo's own read-only copy of u,
+from which the Newton loop continues, then by value for other callers.
+So the accepted line-search trial's state serves the gradient and the
+Newton matrix.  The residual is one more product, with
+``FemOperators.flux_op``, formed once per point and kept with it.
 Every Newton matrix, the start-candidate system and the mass-shifted
 retry are band data vectors of ``FemOperators.pattern`` (a reverse
 Cuthill-McKee order fixed per mesh): the interior mass plus tau times
 one product of a fixed operator with the stacked per-simplex weights.
 Each is symmetric positive definite and is factored and solved by one
 banded Cholesky call (LAPACK dpbsv); no ordering or symbolic analysis
-runs per iteration.
+runs per iteration.  The p = 2 start system P + tau A does not depend
+on the step's state: the pattern keeps its factor for the last step
+size (``InteriorPattern.start_factor``), so a trajectory on a
+deterministic grid factors it once and solves it (LAPACK dpbtrs) on
+every step.
 
 For p < 2 the energy is not twice differentiable where a gradient
 vanishes, so the solve runs at one smoothing parameter eps = 1e-6 (the
@@ -58,10 +64,11 @@ each simplex by s = (kappa + |grad u_warm|_eps)**(p-2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv
+from scipy.linalg.lapack import dpbsv, dpbtrs
 
 from .constitutive import GrowthParams
 from .fem import FemOperators, InteriorPattern
@@ -133,13 +140,13 @@ class StepProblem:
         return self._load
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Point:
     """State of the step objective at one (u, eps), shared by its evaluations.
 
-    ``u`` is a private copy of the interior coefficients; ``grads`` the
-    (2, ns) gradient components and ``mass_u`` the interior part of P u,
-    both read off one product with ``ops.point_op``; ``norms`` the
+    ``u`` is a private read-only copy of the interior coefficients;
+    ``grads`` the (2, ns) gradient components and ``mass_u`` the interior
+    part of P u, both read off one product with ``ops.point_op``; ``norms`` the
     (ns,) smoothed norms sqrt(eps**2 + |g|**2) and ``scale`` their
     (kappa + n)**(p-2), set to 0 where that power is singular (p < 2,
     kappa = eps = 0 and n = 0).  ``size`` is |1/2 u' P u| + tau sum_j
@@ -167,11 +174,13 @@ class _Point:
 
 
 def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
-    """The state at (u, eps): the memo's when u and eps match it by value, else built."""
+    """The state at (u, eps): the memo's when u is its own u or equals it by value, else built."""
+    last = prob._last
+    if last is not None and u_interior is last.u and last.eps == eps:
+        return last
     u_interior = _check_interior(prob, u_interior)
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    last = prob._last
     if last is not None and last.eps == eps and np.array_equal(last.u, u_interior):
         return last
     ops = prob.ops
@@ -188,7 +197,9 @@ def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
         scale[norms == 0.0] = 0.0
     else:
         scale = (kappa + norms) ** (p - 2.0)
-    point = _Point(u=u_interior.copy(), eps=eps, grads=grads, mass_u=state[2 * ns :], norms=norms, scale=scale)
+    u = u_interior.copy()
+    u.flags.writeable = False
+    point = _Point(u=u, eps=eps, grads=grads, mass_u=state[2 * ns :], norms=norms, scale=scale)
     object.__setattr__(prob, "_last", point)
     return point
 
@@ -203,7 +214,7 @@ def _check_interior(prob: StepProblem, u_interior: np.ndarray) -> np.ndarray:
 def _residual(prob: StepProblem, point: _Point) -> np.ndarray:
     """Interior part of P u + tau sum_i Di' diag(areas) s_i - Pt' f at ``point``, formed once."""
     if point.residual is None:
-        object.__setattr__(point, "residual", _form_residual(prob, point))
+        point.residual = _form_residual(prob, point)
     return point.residual
 
 
@@ -247,8 +258,13 @@ def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> fl
         energy = prob.tau_m * energy
         quad = 0.5 * float(point.u @ point.mass_u)
         linear = float(prob._load_interior @ point.u)
-        object.__setattr__(point, "size", abs(quad) + prob.tau_m * terms + abs(linear))
+        point.size = abs(quad) + prob.tau_m * terms + abs(linear)
         return quad + energy - linear
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector: the bits of np.linalg.norm without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _raise_if_singular(norms: np.ndarray, p: float, eps: float) -> None:
@@ -283,8 +299,20 @@ def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarra
     w11 = areas * (a + b * g1 * g1)
     w22 = areas * (a + b * g2 * g2)
     w12 = areas * (b * g1 * g2)
+    return _newton_matrix(prob, w11, w12, w22)
+
+
+def _newton_matrix(prob: StepProblem, w11: np.ndarray, w12: np.ndarray, w22: np.ndarray) -> np.ndarray:
+    """Band data of the interior mass plus tau times the stiffness weighted by (w11, w12, w22).
+
+    Formed in place: tau times the weighted stiffness, then plus the
+    mass, the bits of mass + tau * stiffness without two temporaries.
+    """
     pattern = prob.ops.pattern
-    return pattern.mass + prob.tau_m * pattern.weighted_stiffness(w11, w12, w22)
+    h = pattern.weighted_stiffness(w11, w12, w22)
+    h *= prob.tau_m
+    h += pattern.mass
+    return h
 
 
 def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
@@ -297,7 +325,7 @@ def kkt_residual(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) ->
     form whose residual the solver drives below tolerance for p < 2.
     Either is the gradient of objective(., eps) wherever that exists.
     """
-    return float(np.linalg.norm(_residual(prob, _point(prob, u_interior, eps))))
+    return _norm(_residual(prob, _point(prob, u_interior, eps)))
 
 
 def splu(pattern: InteriorPattern, data: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -306,13 +334,18 @@ def splu(pattern: InteriorPattern, data: np.ndarray, rhs: np.ndarray) -> np.ndar
     Factors and solves in one LAPACK dpbsv call in the RCM order of
     ``pattern`` and returns x in interior order, or None when the matrix
     is not numerically positive definite.  The name is kept from the
-    SuperLU factorization this replaced, because it is the one place
-    every factorization passes through: tracers and tests wrap
-    ``splap.psolver.splu`` to time and count them.
+    SuperLU factorization this replaced, because every Newton matrix and
+    the lagged start system of p < 2 pass through it: tracers and tests
+    wrap ``splap.psolver.splu`` to time and count them.  The p = 2 start
+    system is factored by ``InteriorPattern.start_factor`` instead, once
+    per mesh and step size.
     """
     _, x, info = dpbsv(pattern.band(data), rhs[pattern.perm], lower=1)
-    if info != 0:
-        return None
+    return _interior_order(pattern, x) if info == 0 else None
+
+
+def _interior_order(pattern: InteriorPattern, x: np.ndarray) -> np.ndarray:
+    """A vector in the RCM order of ``pattern`` back in interior order."""
     out = np.empty_like(x)
     out[pattern.perm] = x
     return out
@@ -333,7 +366,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, pattern: InteriorPattern) ->
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Dual:
     """The dual flux (sigma1, sigma2) per simplex at one point of a smoothed level.
 
@@ -379,8 +412,7 @@ def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
     w11 = areas * (dual.s + dual.c * sigma1 * g1)
     w22 = areas * (dual.s + dual.c * sigma2 * g2)
     w12 = areas * (0.5 * dual.c * (sigma1 * g2 + sigma2 * g1))
-    pattern = prob.ops.pattern
-    return pattern.mass + prob.tau_m * pattern.weighted_stiffness(w11, w12, w22)
+    return _newton_matrix(prob, w11, w12, w22)
 
 
 def _dual_step(prob: StepProblem, dual: _Dual, new: _Point) -> _Dual:
@@ -397,8 +429,10 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
 
     At eps > 0 the Newton matrix is the primal-dual one, its flux the
     primal flux at the start point, updated after each accepted step.
-    At eps = 0 it is the primal Hessian.  A ConvergenceError carries
-    the report of the iterations done before it.
+    At eps = 0 it is the primal Hessian.  ``u`` and each iterate are
+    the memo's own copies, so the gradient and Newton matrix find their
+    point by identity.  A ConvergenceError carries the report of the
+    iterations done before it.
     """
     g = gradient(prob, u, eps)
     f = objective(prob, u, eps)
@@ -408,7 +442,7 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
     dual = _dual(prob, point) if eps > 0.0 else None
     it = 0
     while True:
-        gn = float(np.linalg.norm(g))
+        gn = _norm(g)
         if gn <= target:
             return u, it
         if it >= max_iter:
@@ -439,7 +473,7 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
         point = _point(prob, trial, eps)
         if dual is not None:
             dual = _dual_step(prob, dual, point)
-        u, f, size = trial, ft, point.size
+        u, f, size = point.u, ft, point.size
         trace.append(f)
         it += 1
         g = gradient(prob, u, eps)
@@ -448,16 +482,21 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
 def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray | None:
     """Start candidate: the solve of (P + tau A_s) u = load, or None if it fails.
 
-    A_s is the stiffness weighted per simplex by ``scale``, or without
-    it the p = 2 stiffness A.
+    A_s is the stiffness weighted per simplex by ``scale``, factored by
+    ``splu``.  Without it A_s is the p = 2 stiffness A, and the system's
+    factor comes from the pattern's slot for tau (dpbtrf and dpbtrs are
+    the two halves of dpbsv, so the solve has the same bits).
     """
     pattern = prob.ops.pattern
     if scale is None:
-        stiffness = pattern.stiffness
-    else:
-        areas = prob.ops.areas
-        weight = areas * scale
-        stiffness = pattern.weighted_stiffness(weight, np.zeros_like(areas), weight)
+        factor = pattern.start_factor(prob.tau_m)
+        if factor is None:
+            return None
+        x, info = dpbtrs(factor, prob._load_interior[pattern.perm], lower=1)
+        return _interior_order(pattern, x) if info == 0 else None
+    areas = prob.ops.areas
+    weight = areas * scale
+    stiffness = pattern.weighted_stiffness(weight, np.zeros_like(areas), weight)
     return splu(pattern, pattern.mass + prob.tau_m * stiffness, prob._load_interior)
 
 
@@ -476,7 +515,8 @@ def solve_step(
     representable descent remains).  Returns the interior coefficient
     vector and a SolveReport; a ConvergenceError (iteration cap,
     failed factorization, stalled line search) carries the report of
-    the iterations done before it.
+    the iterations done before it.  The returned vector is the
+    caller's own.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -492,18 +532,18 @@ def solve_step(
     # the warm start, for p >= 2 the p = 2 surrogate, which takes fewer
     # Newton iterations there.  Each candidate's point is built once:
     # when the warm start wins, its point goes back into the memo.
-    u = warm_start.copy()
-    f_warm = objective(prob, u, eps)
-    warm = _point(prob, u, eps)
+    f_warm = objective(prob, warm_start, eps)
+    warm = _point(prob, warm_start, eps)
     trace: list[float] = []
-    g0 = float(np.linalg.norm(gradient(prob, warm_start, eps)))
+    g0 = _norm(gradient(prob, warm.u, eps))
     pre = _presolve(prob, warm.scale if p < 2.0 else None)
     if pre is None:
         raise ConvergenceError("presolve factorization failed", _report(0, g0, eps, trace))
     if objective(prob, pre, eps) < f_warm:
-        u = pre
+        u = prob._last.u
     else:
+        u = warm.u
         object.__setattr__(prob, "_last", warm)
     u, iterations = _minimize_level(prob, u, eps, tol * (1.0 + g0), max_iter, trace)
     # the point of u is the memo's, its residual formed: no new work
-    return u, _report(iterations, float(np.linalg.norm(gradient(prob, u, eps))), eps, trace)
+    return u.copy(), _report(iterations, _norm(gradient(prob, u, eps)), eps, trace)

@@ -2,11 +2,14 @@
 
 The constitutive maps S and F of a matrix argument, the quasi distance
 |F(xi) - F(eta)|**2 and the monotonicity pairing (S(xi) - S(eta)) :
-(xi - eta) built from them, and S applied row-wise.  The P1 pieces the
+(xi - eta) built from them, and S applied row-wise.  F applied
+row-wise and the quasi-norm error as they were computed before their
+d = 2 path: row norms by sums over the last axis.  The P1 pieces the
 program does not keep: nodal interpolation, the broken embedding, the
 interior restriction R, the stiffness A = sum_i Di' diag(areas) Di and
 the barycentric basis gradients.  A randomly renumbered mesh, a
-turned copy of a mesh, a band densifier, and the step objective, its
+turned copy of a mesh, a band densifier, the product L L' of a band
+Cholesky factor, and the step objective, its
 gradient, Hessian and KKT residual as the solver computed them before
 the per-point state: each call prolongs u and runs the CSR derivative
 and mass products itself, and the Hessian sums dense per-simplex 3 x 3
@@ -98,6 +101,30 @@ def tensor_s_rows(g, params):
     g = np.asarray(g, dtype=float)
     norms = np.sqrt(np.sum(g * g, axis=-1))
     return _scale(norms, params, params.p - 2.0)[..., None] * g
+
+
+def tensor_f_rows(g, params):
+    """Apply F row-wise to an (n, d) array, the norms by a sum over the last axis.
+
+    The power is taken on the rows with a positive base only; the others
+    get F = 0.
+    """
+    g = np.asarray(g, dtype=float)
+    base = params.kappa + np.sqrt(np.sum(g * g, axis=-1))
+    scale = np.ones_like(base)
+    pos = base > 0.0
+    scale[pos] = base[pos] ** ((params.p - 2.0) / 2.0)
+    return scale[..., None] * g
+
+
+def quasinorm_error_sq(ops, u, v, params):
+    """sum_j |S_j| |F(grad u) - F(grad v)|^2, the squares summed over the last axis."""
+    d1, d2 = ops.dgrad
+    u, v = _check_conforming(ops, u), _check_conforming(ops, v, "v")
+    df = tensor_f_rows(np.column_stack([d1 @ u, d2 @ u]), params) - tensor_f_rows(
+        np.column_stack([d1 @ v, d2 @ v]), params
+    )
+    return float(ops.areas @ np.sum(df * df, axis=1))
 
 
 def nodal_interpolate(mesh, g):
@@ -192,6 +219,20 @@ def band_to_dense(pattern, data):
     lower[row[inside], col[inside]] = band[inside]
     dense = np.empty((n, n))
     dense[np.ix_(pattern.perm, pattern.perm)] = lower + np.tril(lower, -1).T
+    return dense
+
+
+def cholesky_product(pattern, factor):
+    """L L' in interior order, L the lower Cholesky band ``factor`` ((kd + 1, n_i), RCM order)."""
+    n, kd = pattern.perm.shape[0], pattern.kd
+    band = np.asarray(factor).T
+    col, offset = np.indices((n, kd + 1))
+    row = col + offset
+    inside = row < n
+    lower = np.zeros((n, n))
+    lower[row[inside], col[inside]] = band[inside]
+    dense = np.empty((n, n))
+    dense[np.ix_(pattern.perm, pattern.perm)] = lower @ lower.T
     return dense
 
 

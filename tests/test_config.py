@@ -203,3 +203,20 @@ def test_sigma_function_forms():
 def test_validate_random_grid_needs_lattice_headroom():
     cfg = parse_config("grid_kind = random\n")
     validate_config(cfg)
+
+
+def test_validate_rejects_tau_ref_as_a_deterministic_fit_step(tmp_path):
+    # on deterministic grids the reference serves the ladder entry tau_ref,
+    # whose error is then 0 and cannot be fitted; random grids run the
+    # reference at tau_ref / 4, so there the entry keeps its error
+    base = "p_list = 2.5\nmesh_n = 2\nn_r = 2\ntau_ladder = 1/2, 1/4, 1/8\ntau_ref = 1/8\n"
+    for fit in ("1/4, 1/8", "1/2, 1/4, 1/8", "0.125, 0.5"):
+        text = base + f"fit_taus = {fit}\n"
+        with pytest.raises(ConfigError, match="is tau_ref"):
+            parse_config(text)
+        cfg_file = tmp_path / "fit-ref.cfg"
+        cfg_file.write_text(text)
+        assert main(["validate", "--config", str(cfg_file)]) == 2
+    assert regression_taus(parse_config(base + "fit_taus = 1/2, 1/4\n")) == (0.5, 0.25)
+    random = parse_config(base + "grid_kind = random\nfit_taus = 1/4, 1/8\n")
+    assert regression_taus(random) == (0.25, 0.125)

@@ -1,6 +1,7 @@
 """Tests for the nonlinear tensors S and F and their algebra."""
 
 import numpy as np
+import oracles
 import pytest
 from oracles import monotonicity_pairing, quasi_distance_sq, tensor_f, tensor_s, tensor_s_rows
 
@@ -168,6 +169,29 @@ def test_rows_match_scalar_api():
     for i in range(rows.shape[0]):
         assert np.allclose(s_rows[i], tensor_s(rows[i : i + 1], params)[0], rtol=1e-14)
         assert np.allclose(f_rows[i], tensor_f(rows[i : i + 1], params)[0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 4.0])
+def test_tensor_f_rows_matches_the_summed_form_bit_for_bit(p, kappa):
+    # the d = 2 path sums the two columns where the old form reduced over
+    # the last axis: the bits stay those of the old form, with vanishing
+    # rows and without, over magnitudes from 1e-4 to 1e2
+    params = GrowthParams(p, kappa=kappa)
+    rng = np.random.default_rng(int(100 * p) + int(10 * kappa))
+    rows = rng.standard_normal((1000, 2)) * 10.0 ** rng.integers(-4, 3, size=(1000, 1))
+    assert np.array_equal(tensor_f_rows(rows, params), oracles.tensor_f_rows(rows, params))
+    rows[::7] = 0.0
+    assert np.array_equal(tensor_f_rows(rows, params), oracles.tensor_f_rows(rows, params))
+    # rows of other widths take the general reduction
+    for d in (1, 3, 4):
+        wide = rng.standard_normal((200, d))
+        wide[::5] = 0.0
+        assert np.array_equal(tensor_f_rows(wide, params), oracles.tensor_f_rows(wide, params))
+        norms = np.sqrt(np.sum(wide * wide, axis=1))
+        expected = np.array([tensor_f(row[None, :], params)[0] for row in wide])
+        np.testing.assert_allclose(tensor_f_rows(wide, params), expected, rtol=1e-14, atol=0.0)
+        assert np.all(tensor_f_rows(wide, params)[norms == 0.0] == 0.0)
 
 
 def test_general_matrix_arguments():

@@ -1,6 +1,7 @@
 """Tests for P1 operator assembly and discrete error functionals."""
 
 import numpy as np
+import oracles
 import pytest
 from oracles import (
     band_slots,
@@ -89,6 +90,23 @@ def test_quasinorm_p2_equals_stiffness_form():
         v = rng.standard_normal(m.n_vertices)
         expected = (u - v) @ (a @ (u - v))
         assert np.isclose(quasinorm_error_sq(ops, u, v, params), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5, 4.0])
+def test_quasinorm_matches_the_summed_form_bit_for_bit(p, kappa):
+    # the error functional without its reductions of length 2 keeps the
+    # bits of the old form, also where both functions are flat on a
+    # simplex (F = 0 there at kappa = 0)
+    ops = assemble(jittered_mesh(8, seed=9))
+    params = GrowthParams(p, kappa=kappa)
+    rng = np.random.default_rng(int(10 * p) + int(10 * kappa))
+    flat = np.zeros(ops.n_vertices)
+    for _ in range(5):
+        u = rng.standard_normal(ops.n_vertices)
+        v = u + 10.0 ** rng.uniform(-6.0, 0.0) * rng.standard_normal(ops.n_vertices)
+        for a, b in ((u, v), (u, flat), (flat, flat)):
+            assert quasinorm_error_sq(ops, a, b, params) == oracles.quasinorm_error_sq(ops, a, b, params)
 
 
 def test_quasinorm_p4_example():

@@ -447,9 +447,14 @@ def test_presolve_system_matches_restricted_operators(mesh_name, monkeypatch):
     u = _presolve(prob)
     r = oracles.restriction(ops)
     oracle = (r @ (ops.mass + prob.tau_m * oracles.stiffness(ops)) @ r.T).toarray()
-    assert len(factored) == 1
+    # the p = 2 system is factored by the pattern, once per step size:
+    # its Cholesky factor L gives L L' = R (P + tau A) R'
+    assert not factored
     np.testing.assert_allclose(
-        band_to_dense(ops.pattern, factored[0]), oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()
+        oracles.cholesky_product(ops.pattern, ops.pattern.start_factor(prob.tau_m)),
+        oracle,
+        rtol=1e-12,
+        atol=1e-12 * np.abs(oracle).max(),
     )
     np.testing.assert_allclose(u, linear_oracle(prob), rtol=1e-10, atol=1e-12)
     # the lagged-diffusivity start: the stiffness weighted per simplex by
@@ -516,6 +521,74 @@ def test_presolve_factorization_failure_is_convergence_error(monkeypatch):
     monkeypatch.setattr(splap.psolver, "splu", lambda pattern, data, rhs: None)
     with pytest.raises(ConvergenceError, match="presolve"):
         solve_step(prob, np.zeros(prob.ops.n_interior))
+
+
+def clear_start_factor(pattern):
+    object.__setattr__(pattern, "_start", (None, None))
+
+
+def test_start_factor_cache_solves_bit_for_bit_as_the_uncached_solve():
+    # the pattern's one slot follows the step size and the mesh: after
+    # tau1, tau2, tau1 on one mesh and then the same tau on a second mesh
+    # of the same size, built after the first was dropped, each start is
+    # bit for bit the dpbsv solve of its own system, from a kept slot and
+    # from a cleared one alike
+    rng = np.random.default_rng(23)
+    for seed in (1, 2):
+        ops = assemble(jittered_mesh(6, seed=seed))
+        forcing = rng.standard_normal(3 * ops.n_simplices)
+        for tau in (0.1, 0.03, 0.1, 0.1):
+            prob = StepProblem(ops=ops, params=GrowthParams(2.5), tau_m=tau, forcing=forcing)
+            expected = oracles.surrogate_start(prob)
+            assert np.array_equal(_presolve(prob), expected)
+            assert ops.pattern._start[0] == tau
+            clear_start_factor(ops.pattern)
+            assert np.array_equal(_presolve(prob), expected)
+        del ops, prob
+
+
+def test_start_factor_failure_is_none_and_kept_per_step_size():
+    # a start system that is not positive definite has no factor, and the
+    # presolve returns None for it; the next step size factors afresh
+    ops = assemble(generate_unit_square(4))
+    prob = StepProblem(
+        ops=ops, params=GrowthParams(2.5), tau_m=0.2, forcing=np.ones(3 * ops.n_simplices)
+    )
+    negative = dataclasses.replace(ops.pattern, mass=-ops.pattern.mass, stiffness=-ops.pattern.stiffness)
+    bad = dataclasses.replace(prob, ops=dataclasses.replace(ops, pattern=negative))
+    assert _presolve(bad) is None
+    assert negative._start == (0.2, None)
+    assert _presolve(dataclasses.replace(bad, tau_m=0.1)) is None
+    assert np.array_equal(_presolve(prob), oracles.surrogate_start(prob))
+
+
+def test_solve_step_is_bitwise_the_same_with_and_without_the_start_factor(monkeypatch):
+    # a p = 2.5 trajectory of steps of one size: the cached start factor
+    # gives the iterates, the reports and the objective traces of the
+    # solve that factors every start system through splu
+    ops = assemble(jittered_mesh(6, seed=3))
+    rng = np.random.default_rng(24)
+    forcings = [rng.standard_normal(3 * ops.n_simplices) for _ in range(4)]
+
+    def march():
+        u, out = np.zeros(ops.n_interior), []
+        for forcing in forcings:
+            prob = StepProblem(ops=ops, params=GrowthParams(2.5), tau_m=0.05, forcing=forcing)
+            u, report = solve_step(prob, u)
+            out.append((u, report))
+        return out
+
+    cached = march()
+    presolve = splap.psolver._presolve
+
+    def uncached(prob, scale=None):
+        return oracles.surrogate_start(prob) if scale is None else presolve(prob, scale)
+
+    monkeypatch.setattr(splap.psolver, "_presolve", uncached)
+    for (u, report), (u_ref, report_ref) in zip(cached, march()):
+        assert np.array_equal(u, u_ref)
+        assert report == report_ref
+        assert u.flags.writeable
 
 
 def assert_matches(fast, oracle):

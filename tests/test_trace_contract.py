@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` replaces each (module, attribute) of its
 ``TRACE_POINTS`` with a timing wrapper, and counts factorizations
-through ``splap.psolver.splu``.  ``tracing.layer_metrics`` derives the
+through ``splap.psolver.splu``: every Newton matrix and the p < 2
+start; the p = 2 start is factored once per mesh and step size by the
+pattern, outside it.  ``tracing.layer_metrics`` derives the
 iterations per smoothing level and the Armijo acceptance ratio from the
 ``objective`` and ``gradient`` calls inside each ``solve_step``.  These
 tests fail when a rename or a change of that call protocol in ``src/``
