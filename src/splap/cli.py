@@ -6,8 +6,10 @@ Three subcommands:
       run the configured experiment and write all artifacts
   splap validate --config FILE
       parse and validate a config, print its canonical echo
-  splap plot --csv FILE [--out DIR] [--tau-ref X]
-      re-render the per-exponent figures from a persisted results.csv
+  splap plot --csv FILE [--out DIR]
+      re-render the per-exponent figures from a persisted results.csv,
+      with the regression steps and reference step of the summary.json
+      next to it
 
 Exit codes: 0 clean run; 1 completed, but with failed replicates, a
 mean curve that admits no fit, or a bias relation with no root; 2 bad
@@ -24,7 +26,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .config import ConfigError, echo_config, parse_config, parse_number
+from .config import ConfigError, echo_config, parse_config, validate_config
 from .experiment import read_results_csv, run_experiment, summarize_table
 from .svgfig import render_loglog
 
@@ -45,12 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="re-render figures from a persisted results.csv")
     plot.add_argument("--csv", required=True, help="path to results.csv")
     plot.add_argument("--out", default=None, help="output directory (default: next to the csv)")
-    plot.add_argument(
-        "--tau-ref",
-        default=None,
-        help="effective reference step for the regression (fraction ok); "
-        "default: taken from summary.json next to the csv, else the smallest tau present",
-    )
     return parser
 
 
@@ -67,11 +63,14 @@ def _cmd_run(args) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
+    if args.workers is not None:
+        overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    return run_experiment(cfg, workers=args.workers)
+        validate_config(cfg)
+    return run_experiment(cfg)
 
 
 def _cmd_validate(args) -> int:
@@ -80,36 +79,22 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _plot_protocol(csv_path: Path, taus: list, tau_ref_arg, p: float):
-    """(fit_taus, tau_tilde) for one exponent when re-rendering.
-
-    Prefers the persisted summary.json; otherwise falls back to the
-    --tau-ref argument or the smallest tau in the table, fitting over
-    the strictly interior part of the ladder.
-    """
-    summary_path = csv_path.parent / "summary.json"
-    if tau_ref_arg is None and summary_path.exists():
-        per_p = json.loads(summary_path.read_text(encoding="utf-8")).get("per_p", {})
-        rec = per_p.get(repr(float(p)))
-        if rec is not None:
-            return [float(t) for t in rec["taus_fit"]], float(rec["tau_ref_effective"])
-    tau_tilde = parse_number(tau_ref_arg) if tau_ref_arg is not None else min(taus)
-    fit = [t for t in taus if tau_tilde < t < max(taus)] or [t for t in taus if t > tau_tilde]
-    if len(fit) < 2:
-        raise ConfigError("cannot infer at least two regression steps above tau_ref; pass --tau-ref")
-    return fit, float(tau_tilde)
-
-
 def _cmd_plot(args) -> int:
     csv_path = Path(args.csv)
     try:
         tables = read_results_csv(csv_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read results from {csv_path}: {exc}") from exc
+    summary_path = csv_path.parent / "summary.json"
+    try:
+        per_p = json.loads(summary_path.read_text(encoding="utf-8"))["per_p"]
+        protocols = {p: (per_p[repr(p)]["taus_fit"], per_p[repr(p)]["tau_ref_effective"]) for p in tables}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read the fit protocol from {summary_path}: {exc!r}") from exc
     out = Path(args.out) if args.out is not None else csv_path.parent
     out.mkdir(parents=True, exist_ok=True)
     for p, rec in tables.items():
-        fit_taus, tau_tilde = _plot_protocol(csv_path, rec["taus"], args.tau_ref, p)
+        fit_taus, tau_tilde = protocols[p]
         summary = summarize_table(rec["taus"], rec["totals"], rec["max_l2"], rec["quasi"], fit_taus, tau_tilde)
         table = SimpleNamespace(p=p, taus=rec["taus"], totals=rec["totals"])
         (out / f"fig_p{p:g}.svg").write_bytes(render_loglog(table, summary).encode("utf-8"))

@@ -240,6 +240,16 @@ def regression_taus(cfg: ExperimentConfig) -> tuple:
     return auto
 
 
+def _finite_constant(key: str, expr: str) -> float:
+    try:
+        const = parse_number(expr)
+    except ConfigError as exc:
+        raise ConfigError(f"unsupported {key} expression {expr!r}") from exc
+    if not np.isfinite(const):
+        raise ConfigError(f"{key} must be finite, got {expr!r}")
+    return const
+
+
 _PHI_POWER = re.compile(r"^\|x\|\s*\^\s*\(?\s*(-?[0-9][0-9./]*)\s*\)?$")
 
 
@@ -248,7 +258,7 @@ def phi_function(expr: str):
 
     Supported forms: a power of the distance to the origin, written
     ``|x|^e`` (e a number or fraction, e.g. ``|x|^-1/2``), or a plain
-    numeric constant.
+    finite numeric constant.
     """
     expr = expr.strip()
     match = _PHI_POWER.match(expr)
@@ -259,27 +269,21 @@ def phi_function(expr: str):
             return (x * x + y * y) ** (_e / 2.0)
 
         return radial
-    try:
-        const = parse_number(expr)
-    except ConfigError as exc:
-        raise ConfigError(f"unsupported phi expression {expr!r}") from exc
+    const = _finite_constant("phi", expr)
     return lambda x, y, _c=const: _c
 
 
 def sigma_function(expr: str):
     """Multiplicative shape expression -> elementwise function of an array.
 
-    ``u`` is the identity (linear multiplicative noise); a numeric
+    ``u`` is the identity (linear multiplicative noise); a finite numeric
     constant gives state-independent scaling, an array of its input's
     shape.
     """
     expr = expr.strip()
     if expr == "u":
         return lambda x: x
-    try:
-        const = parse_number(expr)
-    except ConfigError as exc:
-        raise ConfigError(f"unsupported sigma expression {expr!r}") from exc
+    const = _finite_constant("sigma", expr)
     return lambda x, _c=const: np.full(np.shape(x), _c)
 
 

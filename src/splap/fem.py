@@ -195,7 +195,7 @@ class FemOperators:
 
 
 def assemble(mesh: Mesh) -> FemOperators:
-    """Assemble all operators for a validated mesh."""
+    """Assemble all operators of a mesh; an inverted simplex raises MeshError."""
     v = mesh.vertices
     t = mesh.simplices
     ns = mesh.n_simplices

@@ -7,10 +7,11 @@ row-wise and the quasi-norm error as they were computed before their
 d = 2 path: row norms by sums over the last axis.  The P1 pieces the
 program does not keep: nodal interpolation, the broken embedding, the
 interior restriction R, the stiffness A = sum_i Di' diag(areas) Di and
-the barycentric basis gradients.  A randomly renumbered mesh, a
-turned copy of a mesh, a band densifier, the product L L' of a band
-Cholesky factor, and the step objective, its
-gradient, Hessian and KKT residual as the solver computed them before
+the barycentric basis gradients.  A validating mesh builder, which
+checks the conformity rules the structured mesh meets by
+construction.  A randomly renumbered mesh, a turned copy of a mesh, a
+band densifier, the product L L' of a band Cholesky factor, and the
+step objective, its gradient, Hessian and KKT residual as the solver computed them before
 the per-point state: each call prolongs u and runs the CSR derivative
 and mass products itself, and the Hessian sums dense per-simplex 3 x 3
 blocks into the band.  The per-point gather, the residual and the
@@ -32,7 +33,7 @@ from scipy.spatial import Delaunay
 from splap.analysis import _path_layout, _runtime, path_error
 from splap.constitutive import GrowthParams, _scale
 from splap.fem import _LOCAL_MASS, _check_conforming
-from splap.mesh import _signed_areas, generate_unit_square, make_mesh
+from splap.mesh import Mesh, MeshError, _signed_areas, generate_unit_square
 from splap.psolver import (
     ARMIJO_C1,
     DEFAULT_MAX_ITER,
@@ -166,6 +167,88 @@ def basis_gradients(ops):
     nxt, prv = np.roll(v, -1, axis=1), np.roll(v, -2, axis=1)
     inv2a = 1.0 / (2.0 * ops.areas)
     return (nxt[..., 1] - prv[..., 1]) * inv2a[:, None], (prv[..., 0] - nxt[..., 0]) * inv2a[:, None]
+
+
+# A triangle whose area falls below this fraction of the mesh mean is
+# treated as degenerate.
+DEGENERATE_AREA_FRACTION = 1e-14
+
+
+def _edge_counts(simplices):
+    counts = {}
+    for tri in simplices:
+        a, b, c = int(tri[0]), int(tri[1]), int(tri[2])
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def make_mesh(vertices, simplices):
+    """Validate raw arrays and build a Mesh with boundary flags.
+
+    The conformity rules: no inverted or degenerate triangle, no two
+    vertices at one point, every edge shared by at most two triangles,
+    and no vertex inside another triangle's edge (hanging node).
+    Boundary vertices are exactly those on an edge of a single triangle.
+    """
+    vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
+    simplices = np.ascontiguousarray(np.asarray(simplices, dtype=np.int64))
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError(f"vertices must be (nv, 2), got {vertices.shape}")
+    if simplices.ndim != 2 or simplices.shape[1] != 3:
+        raise MeshError(f"simplices must be (ns, 3), got {simplices.shape}")
+    if not np.all(np.isfinite(vertices)):
+        raise MeshError("non-finite vertex coordinates")
+    nv = vertices.shape[0]
+    if simplices.size and (simplices.min() < 0 or simplices.max() >= nv):
+        raise MeshError("vertex index out of range")
+    if nv == 0 or simplices.shape[0] == 0:
+        raise MeshError("mesh must contain at least one vertex and one simplex")
+    for j, tri in enumerate(simplices):
+        if len({int(tri[0]), int(tri[1]), int(tri[2])}) != 3:
+            raise MeshError(f"simplex {j} has repeated vertices")
+
+    areas = _signed_areas(vertices, simplices)
+    bad = np.where(areas <= 0.0)[0]
+    if bad.size:
+        raise MeshError(f"inverted simplex {int(bad[0])} (nonpositive signed area)")
+    if np.any(areas < DEGENERATE_AREA_FRACTION * float(areas.mean())):
+        j = int(np.argmin(areas))
+        raise MeshError(f"degenerate simplex {j} (area below tolerance)")
+
+    # Distinct vertices must be geometrically distinct as well; two
+    # coincident points break the shared-vertex conformity rule.
+    if np.unique(vertices, axis=0).shape[0] != nv:
+        raise MeshError("two vertices share the same coordinates")
+
+    counts = _edge_counts(simplices)
+    boundary = np.zeros(nv, dtype=bool)
+    single_edges = []
+    for (u, v), c in counts.items():
+        if c > 2:
+            raise MeshError(f"edge ({u}, {v}) shared by {c} simplices")
+        if c == 1:
+            boundary[u] = True
+            boundary[v] = True
+            single_edges.append((u, v))
+
+    # Hanging-node check: a T-junction leaves the long edge counted once
+    # with a foreign vertex strictly inside it.
+    for u, v in single_edges:
+        a = vertices[u]
+        d = vertices[v] - a
+        ll = float(d @ d)
+        rel = vertices - a
+        cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
+        dot = rel @ d
+        onseg = (np.abs(cross) <= 1e-12 * ll) & (dot > 1e-12 * ll) & (dot < (1.0 - 1e-12) * ll)
+        onseg[u] = onseg[v] = False
+        if np.any(onseg):
+            k = int(np.where(onseg)[0][0])
+            raise MeshError(f"vertex {k} hangs on edge ({u}, {v})")
+
+    return Mesh(vertices=vertices, simplices=simplices, boundary_vertex_flags=boundary)
 
 
 def jittered_mesh(n, seed):

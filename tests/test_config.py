@@ -220,3 +220,21 @@ def test_validate_rejects_tau_ref_as_a_deterministic_fit_step(tmp_path):
     assert regression_taus(parse_config(base + "fit_taus = 1/2, 1/4\n")) == (0.5, 0.25)
     random = parse_config(base + "grid_kind = random\nfit_taus = 1/4, 1/8\n")
     assert regression_taus(random) == (0.25, 0.125)
+
+
+@pytest.mark.parametrize("noise", ["phi = nan", "phi = inf", "phi = -inf", "sigma = nan", "sigma = inf"])
+def test_validate_rejects_a_non_finite_noise_constant(tmp_path, noise):
+    # a non-finite amplitude or shape would fail every replicate of the run
+    mode = "multiplicative" if noise.startswith("sigma") else "additive"
+    text = (
+        "p_list = 2.5\nmesh_n = 2\nn_r = 1\ntau_ladder = 1/2, 1/4, 1/8\ntau_ref = 1/8\n"
+        f"noise_mode = {mode}\n{noise}\n"
+    )
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config(text)
+    cfg_file = tmp_path / "noise.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg_file)]) == 2
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()

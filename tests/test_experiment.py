@@ -221,6 +221,34 @@ def test_cli_run_and_plot(tmp_path, capsys):
     assert fig.read_bytes() == original
 
 
+def test_cli_plot_needs_the_run_summary(tmp_path, capsys):
+    # the fit steps and the reference step come only from the run's
+    # summary.json; without it plot draws nothing
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("p_list = 2.5\nmesh_n = 2\ntau_ladder = 1/2, 1/4, 1/8\ntau_ref = 1/8\nn_r = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out), "--workers", "1"]) in (0, 1)
+    (out / "summary.json").unlink()
+    (out / "fig_p2.5.svg").unlink()
+    capsys.readouterr()
+    assert main(["plot", "--csv", str(out / "results.csv")]) == 2
+    assert "summary.json" in capsys.readouterr().err
+    assert not (out / "fig_p2.5.svg").exists()
+
+
+def test_cli_workers_flag_is_validated_like_the_key(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("p_list = 2.5\nmesh_n = 2\ntau_ladder = 1/2, 1/4, 1/8\ntau_ref = 1/8\nn_r = 1\n")
+    key_file = tmp_path / "key.cfg"
+    key_file.write_text(cfg_file.read_text() + "workers = -3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(key_file), "--out", str(out)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg_file), "--out", str(out), "--workers", "-3"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_seed_override(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("p_list = 1.5\nmesh_n = 4\ntau_ladder = 1/2, 1/4\ntau_ref = 1/8\nn_r = 2\n")

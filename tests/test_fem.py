@@ -9,6 +9,7 @@ from oracles import (
     basis_gradients,
     broken_embed,
     jittered_mesh,
+    make_mesh,
     nodal_interpolate,
     restriction,
     rotated_mesh,
@@ -17,7 +18,7 @@ from oracles import (
 
 from splap.constitutive import GrowthParams
 from splap.fem import assemble, gradient_per_simplex, l2_error_sq, quasinorm_error_sq
-from splap.mesh import generate_unit_square, make_mesh
+from splap.mesh import generate_unit_square
 
 
 def reference_triangle():

@@ -1,9 +1,10 @@
-"""Tests for mesh generation and validation."""
+"""Tests for mesh generation, and for the validating oracle builder."""
 
 import numpy as np
 import pytest
+from oracles import make_mesh
 
-from splap.mesh import MeshError, generate_unit_square, make_mesh
+from splap.mesh import MeshError, generate_unit_square
 
 
 def shoelace(vertices, simplices):
@@ -38,6 +39,23 @@ def test_unit_square_boundary_flags():
     )
     assert np.array_equal(m.boundary_vertex_flags, on_edge)
     assert m.boundary_vertex_flags.sum() == 4 * 4
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_unit_square_equals_the_validated_mesh(n):
+    # the structured mesh sets its boundary flags from its grid indices;
+    # the oracle finds them from the edges of a single triangle, after
+    # checking every conformity rule, and builds arrays of its own types
+    m = generate_unit_square(n)
+    ref = make_mesh(m.vertices, m.simplices)
+    assert np.array_equal(m.vertices, [[i / n, j / n] for j in range(n + 1) for i in range(n + 1)])
+    for got, want in (
+        (m.vertices, ref.vertices),
+        (m.simplices, ref.simplices),
+        (m.boundary_vertex_flags, ref.boundary_vertex_flags),
+    ):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 def test_unit_square_rejects_bad_n():
