@@ -44,6 +44,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .mesh import generate_unit_square
+from .stochastics import noise_from_function
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -72,35 +75,9 @@ class ExperimentConfig:
     workers: int = 0
 
 
-# config key -> dataclass field
-_KEYMAP = {
-    "p_list": "p_list",
-    "kappa": "kappa",
-    "mesh_n": "mesh_n",
-    "tau_ladder": "tau_ladder",
-    "tau_ref": "tau_ref",
-    "T": "horizon",
-    "n_r": "n_replicates",
-    "master_seed": "master_seed",
-    "noise_mode": "noise_mode",
-    "phi": "phi",
-    "noise_components": "noise_components",
-    "sigma": "sigma",
-    "u0": "u0",
-    "grid_kind": "grid_kind",
-    "solver_tol": "solver_tol",
-    "clip_initial": "clip_initial",
-    "fit_taus": "fit_taus",
-    "out_dir": "out_dir",
-    "workers": "workers",
-}
-_FIELDMAP = {v: k for k, v in _KEYMAP.items()}
-
-_NUMBER_LIST_KEYS = {"p_list", "tau_ladder"}
-_NUMBER_KEYS = {"kappa", "tau_ref", "T", "u0", "solver_tol"}
-_INT_KEYS = {"mesh_n", "n_r", "master_seed", "noise_components", "workers"}
-_BOOL_KEYS = {"clip_initial"}
-_STRING_KEYS = {"noise_mode", "phi", "sigma", "grid_kind", "out_dir"}
+# config key -> dataclass field, in field order; a key's kind is its
+# field's declared type, and only T and n_r differ from their field's name
+_KEYS = {{"horizon": "T", "n_replicates": "n_r"}.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 
 
 def parse_number(token: str) -> float:
@@ -114,29 +91,30 @@ def parse_number(token: str) -> float:
         raise ConfigError(f"bad number {token!r}") from exc
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, kind: str, raw: str):
     raw = raw.strip()
-    if key in _NUMBER_LIST_KEYS:
-        return tuple(parse_number(tok) for tok in raw.split(","))
-    if key in _NUMBER_KEYS:
-        return parse_number(raw)
-    if key in _INT_KEYS:
-        val = parse_number(raw)
-        if val != int(val):
-            raise ConfigError(f"{key} must be an integer, got {raw!r}")
-        return int(val)
-    if key in _BOOL_KEYS:
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
-    if key == "fit_taus":
-        if raw.lower() == "auto":
+    try:
+        if kind == "bool":
+            low = raw.lower()
+            if low in ("true", "yes", "1"):
+                return True
+            if low in ("false", "no", "0"):
+                return False
+            raise ConfigError(f"must be a boolean, got {raw!r}")
+        if kind == "str":
+            return raw
+        if kind.endswith(" | None") and raw.lower() == "auto":
             return None
-        return tuple(parse_number(tok) for tok in raw.split(","))
-    return raw
+        if kind.startswith("tuple"):
+            return tuple(parse_number(tok) for tok in raw.split(","))
+        val = parse_number(raw)
+        if kind == "int":
+            if not val.is_integer():
+                raise ConfigError(f"must be an integer, got {raw!r}")
+            return int(val)
+        return val
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -153,12 +131,13 @@ def parse_config(source) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYMAP:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if _KEYMAP[key] in values:
+        name, kind = _KEYS[key].name, _KEYS[key].type
+        if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[_KEYMAP[key]] = _parse_value(key, raw)
+            values[name] = _parse_value(key, kind, raw)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     cfg = ExperimentConfig(**values)
@@ -223,7 +202,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if len(set(cfg.fit_taus)) != len(cfg.fit_taus):
             raise ConfigError("fit_taus has duplicate entries")
     regression_taus(cfg)
-    phi_function(cfg.phi)
+    phi = phi_function(cfg.phi)
+    try:
+        noise_from_function(generate_unit_square(cfg.mesh_n), phi)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"phi must be finite on the mesh, got {cfg.phi!r}") from exc
     if cfg.noise_mode == "multiplicative":
         sigma_function(cfg.sigma)
 
@@ -287,26 +270,20 @@ def sigma_function(expr: str):
     return lambda x, _c=const: np.full(np.shape(x), _c)
 
 
-def _format_value(key: str, value) -> str:
-    if key in _NUMBER_LIST_KEYS:
+def _format_value(kind: str, value) -> str:
+    if value is None:
+        return "auto"
+    if kind.startswith("tuple"):
         return ", ".join(repr(float(v)) for v in value)
-    if key in _NUMBER_KEYS:
+    if kind == "float":
         return repr(float(value))
-    if key in _INT_KEYS:
+    if kind == "int":
         return str(int(value))
-    if key in _BOOL_KEYS:
+    if kind == "bool":
         return "true" if value else "false"
-    if key == "fit_taus":
-        if value is None:
-            return "auto"
-        return ", ".join(repr(float(v)) for v in value)
     return str(value)
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
     """Canonical text form with every key explicit; parses back equal."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        key = _FIELDMAP[f.name]
-        lines.append(f"{key} = {_format_value(key, getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format_value(f.type, getattr(cfg, f.name))}\n" for key, f in _KEYS.items())

@@ -8,7 +8,7 @@ import pytest
 
 from splap.cli import main
 from splap.config import (
-    _KEYMAP,
+    _KEYS,
     ConfigError,
     ExperimentConfig,
     echo_config,
@@ -90,7 +90,35 @@ def test_readme_key_list_matches_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Running an experiment", 1)[1].split("\n## ", 1)[0]
     listed = section.split("for the authoritative table):", 1)[1].split(".\n", 1)[0]
-    assert re.findall(r"`([^`]+)`", listed) == list(_KEYMAP)
+    assert re.findall(r"`([^`]+)`", listed) == list(_KEYS)
+
+
+def test_every_key_has_a_parsed_kind():
+    # a key's kind is its field's declared type; any other type would
+    # reach neither branch of the parse and echo dispatch
+    kinds = {"tuple", "float", "int", "bool", "str", "tuple | None"}
+    assert {f.type for f in _KEYS.values()} <= kinds
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("n_r = x\n", "n_r"),
+        ("tau_ref = 1/0\n", "tau_ref"),
+        ("p_list = 1.5, two\n", "p_list"),
+        ("fit_taus = 1/2, none\n", "fit_taus"),
+        ("mesh_n = 1.5\n", "mesh_n"),
+        ("mesh_n = inf\n", "mesh_n"),
+        ("workers = nan\n", "workers"),
+        ("clip_initial = maybe\n", "clip_initial"),
+    ],
+)
+def test_value_errors_name_their_key(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=rf"^line 1: {key}: "):
+        parse_config(text)
+    cfg_file = tmp_path / "bad-value.cfg"
+    cfg_file.write_text(text)
+    assert main(["validate", "--config", str(cfg_file)]) == 2
 
 
 def test_parse_config_rejects_duplicate_key():
@@ -172,6 +200,41 @@ def test_echo_round_trip():
     assert parse_config(echo_config(ExperimentConfig())) == ExperimentConfig()
 
 
+def test_echo_format_is_pinned():
+    # config.echo is a run artifact: every key, in field order, in one
+    # canonical spelling per kind
+    text = (
+        "p_list = 1.3, 2\nkappa = 1/3\nmesh_n = 4\ntau_ladder = 2, 1, 1/2, 1/4\ntau_ref = 1/8\n"
+        "T = 2\nn_r = 3\nmaster_seed = 9\nnoise_mode = multiplicative\nphi = |x|^(-1/4)\n"
+        "noise_components = 2\nsigma = 0.5\nu0 = -2\ngrid_kind = random\nsolver_tol = 1e-7\n"
+        "clip_initial = yes\nfit_taus = 1/2, 1/4\nout_dir = runs/a b\nworkers = 3\n"
+    )
+    expected = (
+        "p_list = 1.3, 2.0\n"
+        "kappa = 0.3333333333333333\n"
+        "mesh_n = 4\n"
+        "tau_ladder = 2.0, 1.0, 0.5, 0.25\n"
+        "tau_ref = 0.125\n"
+        "T = 2.0\n"
+        "n_r = 3\n"
+        "master_seed = 9\n"
+        "noise_mode = multiplicative\n"
+        "phi = |x|^(-1/4)\n"
+        "noise_components = 2\n"
+        "sigma = 0.5\n"
+        "u0 = -2.0\n"
+        "grid_kind = random\n"
+        "solver_tol = 1e-07\n"
+        "clip_initial = true\n"
+        "fit_taus = 0.5, 0.25\n"
+        "out_dir = runs/a b\n"
+        "workers = 3\n"
+    )
+    cfg = parse_config(text)
+    assert all(getattr(cfg, f.name) != f.default for f in _KEYS.values())
+    assert echo_config(cfg) == expected
+
+
 def test_phi_function_radial_power():
     fn = phi_function("|x|^-1/2")
     assert np.isclose(fn(3.0, 4.0), 5.0**-0.5, rtol=1e-14)
@@ -222,9 +285,13 @@ def test_validate_rejects_tau_ref_as_a_deterministic_fit_step(tmp_path):
     assert regression_taus(random) == (0.25, 0.125)
 
 
-@pytest.mark.parametrize("noise", ["phi = nan", "phi = inf", "phi = -inf", "sigma = nan", "sigma = inf"])
+@pytest.mark.parametrize(
+    "noise", ["phi = nan", "phi = inf", "phi = -inf", "sigma = nan", "sigma = inf", "phi = |x|^-1000"]
+)
 def test_validate_rejects_a_non_finite_noise_constant(tmp_path, noise):
-    # a non-finite amplitude or shape would fail every replicate of the run
+    # a non-finite amplitude or shape would fail every replicate of the
+    # run; |x|^-1000 is a supported form, but it overflows at the
+    # barycenters near the origin of the run's mesh
     mode = "multiplicative" if noise.startswith("sigma") else "additive"
     text = (
         "p_list = 2.5\nmesh_n = 2\nn_r = 1\ntau_ladder = 1/2, 1/4, 1/8\ntau_ref = 1/8\n"
@@ -238,3 +305,4 @@ def test_validate_rejects_a_non_finite_noise_constant(tmp_path, noise):
     assert main(["validate", "--config", str(cfg_file)]) == 2
     assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
     assert not out.exists()
+
