@@ -96,9 +96,9 @@ class InteriorPattern:
     stiffness: np.ndarray
     _start: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
-    def weighted_stiffness(self, w11: np.ndarray, w12: np.ndarray, w22: np.ndarray) -> np.ndarray:
-        """Band data of sum_j w11_j gx gx' + w12_j (gx gy' + gy gx') + w22_j gy gy', w per simplex."""
-        return self.products @ np.concatenate((w11, w12, w22))
+    def weighted_stiffness(self, w: np.ndarray) -> np.ndarray:
+        """Band data of sum_j w11_j gx gx' + w12_j (gx gy' + gy gx') + w22_j gy gy', w the (3, ns) rows (w11, w12, w22)."""
+        return self.products @ w.ravel()
 
     def band(self, data: np.ndarray) -> np.ndarray:
         """The (kd + 1, n_i) F-contiguous lower band holding ``data``."""

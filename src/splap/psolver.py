@@ -10,7 +10,9 @@ phi is the scalar energy density with phi'(t) = (kappa + t)**(p-2) * t.
 The first-order condition of J is exactly the variational equality of
 the time step with tensor S, so minimizing J and solving the nonlinear
 system are two routes to the same point.  For kappa = 0 the density
-reduces to phi(t) = t**p / p, i.e. the plain p-Dirichlet energy.
+reduces to phi(t) = t**p / p, i.e. the plain p-Dirichlet energy; for
+kappa > 0 it is summed without cancellation (``_shifted_density``), so
+the float floor of the stopping rule is set by J's own terms.
 
 Solver: boundary unknowns are eliminated by zero extension and the
 reduced problem is solved by damped Newton with Armijo backtracking.
@@ -25,6 +27,10 @@ from which the Newton loop continues, then by value for other callers.
 So the accepted line-search trial's state serves the gradient and the
 Newton matrix.  The residual is one more product, with
 ``FemOperators.flux_op``, formed once per point and kept with it.
+Gradients and dual fluxes are (2, ns) arrays and Newton weights one
+(3, ns) array, formed in place, in their formulas' order of operations,
+only in arrays the call allocated: the accepted point, the dual's point
+and the line-search trial are alive at once and share no buffer.
 Every Newton matrix, the start-candidate system and the mass-shifted
 retry are band data vectors of ``FemOperators.pattern`` (a reverse
 Cuthill-McKee order fixed per mesh): the interior mass plus tau times
@@ -152,7 +158,9 @@ class _Point:
     kappa = eps = 0 and n = 0).  ``size`` is |1/2 u' P u| + tau sum_j
     |S_j| (the magnitudes of the terms of phi) + |f' Pt u|, the magnitude
     of J's terms, which ``objective`` sets; ``residual`` the interior
-    gradient of J, which ``_residual`` forms once and keeps read-only.
+    gradient of J, which ``_residual`` forms once and keeps read-only;
+    ``c`` the (ns,) (p-2) / (n (kappa + n)) of the primal-dual matrix,
+    which ``_dual`` sets.
     """
 
     u: np.ndarray
@@ -163,14 +171,7 @@ class _Point:
     scale: np.ndarray
     size: float = float("nan")
     residual: np.ndarray | None = None
-
-    @property
-    def g1(self) -> np.ndarray:
-        return self.grads[0]
-
-    @property
-    def g2(self) -> np.ndarray:
-        return self.grads[1]
+    c: np.ndarray | None = None
 
 
 def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
@@ -179,16 +180,23 @@ def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
     if last is not None and u_interior is last.u and last.eps == eps:
         return last
     u_interior = _check_interior(prob, u_interior)
-    if not (np.isfinite(eps) and eps >= 0.0):
+    if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    if last is not None and last.eps == eps and np.array_equal(last.u, u_interior):
-        return last
+    # a line-search trial differs from the memo in its first entry
+    # already, which settles the value lookup without a pass over u
+    if last is not None and last.eps == eps and (not u_interior.size or u_interior[0] == last.u[0]):
+        if np.array_equal(last.u, u_interior):
+            return last
     ops = prob.ops
     ns = ops.n_simplices
     state = ops.point_op @ u_interior
     grads = state[: 2 * ns].reshape(2, ns)
-    g1, g2 = grads
-    norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)
+    # sqrt(eps**2 + g1**2 + g2**2), summed in that order
+    squares = grads * grads
+    norms = squares[0]
+    norms += eps * eps
+    norms += squares[1]
+    np.sqrt(norms, out=norms)
     p, kappa = prob.params.p, prob.params.kappa
     if p < 2.0 and kappa == 0.0 and eps == 0.0:
         # S(0) = 0 and phi(0) = 0; gradient and Hessian refuse such a point
@@ -196,7 +204,7 @@ def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
             scale = norms ** (p - 2.0)
         scale[norms == 0.0] = 0.0
     else:
-        scale = (kappa + norms) ** (p - 2.0)
+        scale = (kappa + norms if kappa else norms) ** (p - 2.0)
     u = u_interior.copy()
     u.flags.writeable = False
     point = _Point(u=u, eps=eps, grads=grads, mass_u=state[2 * ns :], norms=norms, scale=scale)
@@ -219,8 +227,10 @@ def _residual(prob: StepProblem, point: _Point) -> np.ndarray:
 
 
 def _form_residual(prob: StepProblem, point: _Point) -> np.ndarray:
-    flux = _smoothed_tensor(prob, point).ravel()
-    r = point.mass_u + prob.tau_m * (prob.ops.flux_op @ flux) - prob._load_interior
+    r = prob.ops.flux_op @ _smoothed_tensor(prob, point).ravel()
+    r *= prob.tau_m
+    r += point.mass_u
+    r -= prob._load_interior
     # the memo's own array: no caller may change it
     r.flags.writeable = False
     return r
@@ -230,24 +240,43 @@ def _energy(prob: StepProblem, point: _Point) -> tuple[float, float]:
     """sum_j |S_j| phi(n_j), phi'(t) = (kappa + t)**(p-2) t, phi(0) = 0, and its size.
 
     The size sums the magnitudes of the terms each density is formed
-    from, which set its float resolution: for kappa > 0 terms of order
-    kappa**p cancel to kappa**(p-2) n**2 / 2 at small n.
+    from, which set its float resolution.
     """
     p, kappa = prob.params.p, prob.params.kappa
-    n, s = point.norms, point.scale
     areas = prob.ops.areas
     if kappa == 0.0:
-        energy = float(areas @ (n * n * s / p))
+        density = point.norms * point.norms
+        density *= point.scale
+        density /= p
+        energy = float(areas @ density)
         return energy, abs(energy)
-    # (kt**p - kappa**p) / p - kappa (kt**(p-1) - kappa**(p-1)) / (p-1)
-    kt = kappa + n
-    low = s * kt
-    high = low * kt
-    density = (high - kappa**p) / p - kappa * (low - kappa ** (p - 1.0)) / (p - 1.0)
-    if point.eps == 0.0:
-        density[n == 0.0] = 0.0  # exactly, not up to the rounding of s
-    terms = (high + kappa**p) / p + kappa * (low + kappa ** (p - 1.0)) / (p - 1.0)
+    density, terms = _shifted_density(point.norms, p, kappa)
     return float(areas @ density), float(areas @ terms)
+
+
+def _shifted_density(n: np.ndarray, p: float, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """phi(n) for kappa > 0, and the magnitude of the terms it is summed from.
+
+    With L = log(1 + n / kappa), phi(n) = kappa**p int_0^L (e**(p v) -
+    e**((p-1) v)) dv = kappa**p (expm1(p L) / p - expm1((p-1) L) / (p-1)).
+    The two terms cancel to kappa**p L**2 / 2 at small L, so below L =
+    1/2 phi is summed from its Taylor series kappa**p sum_k (p**k -
+    (p-1)**k) L**(k+1) / (k+1)!, k >= 1, whose terms are all positive.
+    """
+    log = np.log1p(n / kappa)
+    high = np.expm1(p * log) / p
+    low = np.expm1((p - 1.0) * log) / (p - 1.0)
+    density, terms = high - low, high + low
+    # terms down to 2**-55 of the first at L = 1/2; p**k - (p-1)**k by a recurrence of positive terms
+    coefficients, difference, power = [0.5], 1.0, 1.0
+    while coefficients[-1] * 0.5 ** (len(coefficients) - 1) >= 2.0**-56:
+        power *= p - 1.0
+        difference = p * difference + power
+        coefficients.append(difference / math.factorial(len(coefficients) + 2))
+    small = log < 0.5
+    x = log[small]
+    density[small] = terms[small] = np.vander(x, len(coefficients), increasing=True) @ coefficients * x * x
+    return kappa**p * density, kappa**p * terms
 
 
 def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> float:
@@ -256,8 +285,8 @@ def objective(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> fl
     with np.errstate(over="ignore"):
         energy, terms = _energy(prob, point)
         energy = prob.tau_m * energy
-        quad = 0.5 * float(point.u @ point.mass_u)
-        linear = float(prob._load_interior @ point.u)
+        quad = 0.5 * float(point.u.dot(point.mass_u))
+        linear = float(prob._load_interior.dot(point.u))
         point.size = abs(quad) + prob.tau_m * terms + abs(linear)
         return quad + energy - linear
 
@@ -290,26 +319,29 @@ def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarra
     """Interior Hessian of objective(., eps) as a band data vector of ``ops.pattern``."""
     point = _point(prob, u_interior, eps)
     p = prob.params.p
-    g1, g2, norms = point.g1, point.g2, point.norms
+    grads, norms = point.grads, point.norms
     _raise_if_singular(norms, p, eps)
     a = point.scale
     # (p-2) (kappa + n)**(p-3) / n, zero where n vanishes
     b = np.divide((p - 2.0) * a, (prob.params.kappa + norms) * norms, out=np.zeros_like(norms), where=norms > 0.0)
-    areas = prob.ops.areas
-    w11 = areas * (a + b * g1 * g1)
-    w22 = areas * (a + b * g2 * g2)
-    w12 = areas * (b * g1 * g2)
-    return _newton_matrix(prob, w11, w12, w22)
+    # |S_j| (a + b g1 g1, b g1 g2, a + b g2 g2)
+    w = np.empty((3, norms.shape[0]))
+    bg = b * grads
+    np.multiply(bg[0], grads[1], out=w[1])
+    bg *= grads
+    np.add(a, bg, out=w[::2])
+    w *= prob.ops.areas
+    return _newton_matrix(prob, w)
 
 
-def _newton_matrix(prob: StepProblem, w11: np.ndarray, w12: np.ndarray, w22: np.ndarray) -> np.ndarray:
-    """Band data of the interior mass plus tau times the stiffness weighted by (w11, w12, w22).
+def _newton_matrix(prob: StepProblem, w: np.ndarray) -> np.ndarray:
+    """Band data of the interior mass plus tau times the stiffness weighted by the (3, ns) ``w``.
 
     Formed in place: tau times the weighted stiffness, then plus the
     mass, the bits of mass + tau * stiffness without two temporaries.
     """
     pattern = prob.ops.pattern
-    h = pattern.weighted_stiffness(w11, w12, w22)
+    h = pattern.weighted_stiffness(w)
     h *= prob.tau_m
     h += pattern.mass
     return h
@@ -340,7 +372,7 @@ def splu(pattern: InteriorPattern, data: np.ndarray, rhs: np.ndarray) -> np.ndar
     system is factored by ``InteriorPattern.start_factor`` instead, once
     per mesh and step size.
     """
-    _, x, info = dpbsv(pattern.band(data), rhs[pattern.perm], lower=1)
+    _, x, info = dpbsv(pattern.band(data), rhs[pattern.perm], lower=1, overwrite_b=1)
     return _interior_order(pattern, x) if info == 0 else None
 
 
@@ -351,51 +383,56 @@ def _interior_order(pattern: InteriorPattern, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_direction(h: np.ndarray, g: np.ndarray, pattern: InteriorPattern) -> np.ndarray:
+def _newton_direction(h: np.ndarray, g: np.ndarray, pattern: InteriorPattern) -> tuple[np.ndarray, float]:
     """Solve h d = -g; on factorization trouble retry with a mass shift.
 
     h must be a band data vector of ``pattern``, as _hessian returns.
+    Returns d and its slope g' d, finite and negative.  One product
+    tests both: a d with a non-finite entry has a non-finite slope.
     """
     d = splu(pattern, h, -g)
-    if d is None or not np.all(np.isfinite(d)) or float(g @ d) >= 0.0:
+    slope = math.nan if d is None else float(g.dot(d))
+    if not -math.inf < slope < 0.0:
         d = splu(pattern, h + HESSIAN_SHIFT * pattern.mass, -g)
         if d is None:
             raise ConvergenceError("Hessian factorization failed")
-        if not np.all(np.isfinite(d)) or float(g @ d) >= 0.0:
+        slope = float(g.dot(d))
+        if not -math.inf < slope < 0.0:
             raise ConvergenceError("no descent direction")
-    return d
+    return d, slope
 
 
 @dataclass(slots=True)
 class _Dual:
-    """The dual flux (sigma1, sigma2) per simplex at one point of a smoothed level.
+    """The (2, ns) dual flux sigma per simplex at one point of a smoothed level.
 
-    s = (kappa + n)**(p-2) and c = (p-2) / (n (kappa + n)) at the
-    smoothed norm n of the point's gradient.
+    The point carries s = (kappa + n)**(p-2) and c = (p-2) / (n (kappa +
+    n)) at the smoothed norm n of its gradient.
     """
 
     point: _Point
-    s: np.ndarray
-    c: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
+    sigma: np.ndarray
 
 
-def _dual(prob: StepProblem, point: _Point, flux: tuple[np.ndarray, np.ndarray] | None = None) -> _Dual:
-    """The flux at ``point`` (eps > 0), scaled into the ball |sigma| <= (kappa + n)**(p-2) n.
+def _dual(prob: StepProblem, point: _Point, flux: np.ndarray | None = None) -> _Dual:
+    """The (2, ns) ``flux`` at ``point`` (eps > 0), scaled into the ball |sigma| <= (kappa + n)**(p-2) n.
 
     Without ``flux``, the primal flux s g, which lies in the ball.
     """
-    p, norms, s = prob.params.p, point.norms, point.scale
-    c = (p - 2.0) / (norms * (prob.params.kappa + norms))
+    norms, s = point.norms, point.scale
+    point.c = (prob.params.p - 2.0) / (norms * (prob.params.kappa + norms))
     if flux is None:
-        return _Dual(point, s, c, s * point.g1, s * point.g2)
-    sigma1, sigma2 = flux
+        return _Dual(point, s * point.grads)
     # a radius is at least (kappa + eps)**(p-2) eps > 0: inside the ball
     # the scale is r / r = 1, and a zero flux divides no zero by zero
     r = s * norms
-    k = r / np.maximum(np.sqrt(sigma1 * sigma1 + sigma2 * sigma2), r)
-    return _Dual(point, s, c, sigma1 * k, sigma2 * k)
+    squares = flux * flux
+    k = squares[0]
+    k += squares[1]
+    np.sqrt(k, out=k)
+    np.maximum(k, r, out=k)
+    np.divide(r, k, out=k)
+    return _Dual(point, flux * k)
 
 
 def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
@@ -406,22 +443,31 @@ def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
     objective; inside the ball of _dual each weight is at least
     (p - 1) s, so the matrix is positive definite.
     """
-    g1, g2 = dual.point.g1, dual.point.g2
-    sigma1, sigma2 = dual.sigma1, dual.sigma2
-    areas = prob.ops.areas
-    w11 = areas * (dual.s + dual.c * sigma1 * g1)
-    w22 = areas * (dual.s + dual.c * sigma2 * g2)
-    w12 = areas * (0.5 * dual.c * (sigma1 * g2 + sigma2 * g1))
-    return _newton_matrix(prob, w11, w12, w22)
+    point, sigma = dual.point, dual.sigma
+    grads, c = point.grads, point.c
+    w = np.empty((3, c.shape[0]))
+    # c/2 (sigma1 g2 + sigma2 g1)
+    cross = sigma * grads[::-1]
+    np.add(cross[0], cross[1], out=w[1])
+    w[1] *= 0.5 * c
+    # s + c sigma_i g_i
+    diagonal = c * sigma
+    diagonal *= grads
+    np.add(point.scale, diagonal, out=w[::2])
+    w *= prob.ops.areas
+    return _newton_matrix(prob, w)
 
 
 def _dual_step(prob: StepProblem, dual: _Dual, new: _Point) -> _Dual:
     """sigma <- s g' + c sigma (g . (g' - g)) from ``dual.point`` to ``new``, projected at ``new``."""
     old = dual.point
-    t = old.g1 * (new.g1 - old.g1) + old.g2 * (new.g2 - old.g2)
-    sigma1 = dual.s * new.g1 + dual.c * t * dual.sigma1
-    sigma2 = dual.s * new.g2 + dual.c * t * dual.sigma2
-    return _dual(prob, new, (sigma1, sigma2))
+    t = new.grads - old.grads
+    t *= old.grads
+    t = t[0] + t[1]
+    t *= old.c
+    sigma = old.scale * new.grads
+    sigma += t * dual.sigma
+    return _dual(prob, new, sigma)
 
 
 def _minimize_level(prob, u, eps, target, max_iter, trace):
@@ -451,26 +497,27 @@ def _minimize_level(prob, u, eps, target, max_iter, trace):
             )
         h = _hessian(prob, u, eps) if dual is None else _dual_hessian(prob, dual)
         try:
-            d = _newton_direction(h, g, prob.ops.pattern)
+            d, slope = _newton_direction(h, g, prob.ops.pattern)
         except ConvergenceError as exc:
             exc.report = _report(it, gn, eps, trace)
             raise
-        slope = float(g @ d)
         if abs(slope) * 0.5 < 1e-15 * size:
             # Newton's own predicted decrease is below the float
             # resolution of J's terms: the minimum is resolved to machine
             # precision and further line searches only sample roundoff.
             return u, it
         alpha = 1.0
+        trial = u + d
         while True:
-            trial = u + alpha * d
             ft = objective(prob, trial, eps)
-            if np.isfinite(ft) and ft <= f + ARMIJO_C1 * alpha * slope:
+            if math.isfinite(ft) and ft <= f + ARMIJO_C1 * alpha * slope:
                 break
             alpha *= 0.5
             if alpha < 2.0**-60:
                 raise ConvergenceError(f"line search stalled at eps={eps:g}", _report(it, gn, eps, trace))
-        point = _point(prob, trial, eps)
+            trial = u + alpha * d
+        # the trial's point, which objective left in the memo
+        point = prob._last
         if dual is not None:
             dual = _dual_step(prob, dual, point)
         u, f, size = point.u, ft, point.size
@@ -494,10 +541,9 @@ def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray 
             return None
         x, info = dpbtrs(factor, prob._load_interior[pattern.perm], lower=1)
         return _interior_order(pattern, x) if info == 0 else None
-    areas = prob.ops.areas
-    weight = areas * scale
-    stiffness = pattern.weighted_stiffness(weight, np.zeros_like(areas), weight)
-    return splu(pattern, pattern.mass + prob.tau_m * stiffness, prob._load_interior)
+    w = np.zeros((3, scale.shape[0]))
+    np.multiply(prob.ops.areas, scale, out=w[::2])
+    return splu(pattern, _newton_matrix(prob, w), prob._load_interior)
 
 
 def solve_step(
@@ -533,7 +579,7 @@ def solve_step(
     # Newton iterations there.  Each candidate's point is built once:
     # when the warm start wins, its point goes back into the memo.
     f_warm = objective(prob, warm_start, eps)
-    warm = _point(prob, warm_start, eps)
+    warm = prob._last
     trace: list[float] = []
     g0 = _norm(gradient(prob, warm.u, eps))
     pre = _presolve(prob, warm.scale if p < 2.0 else None)

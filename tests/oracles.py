@@ -20,11 +20,17 @@ interior operators: nodal values gathered per simplex, transposed
 products and band data summed by ``bincount``.  The step solve as it
 was before the primal-dual Newton matrix: the p = 2 surrogate start,
 for p < 2 the smoothing continuation 1e-2, 1e-4, 1e-6, and on every
-level, smoothed or not, damped Newton on the primal Hessian.  Last,
-the errors of one Monte-Carlo replicate as the harness computed them
+level, smoothed or not, damped Newton on the primal Hessian.  The
+point state, J, the residual, the primal Hessian and the primal-dual
+flux, update and matrix as the solver computed them one gradient
+component at a time, before its stacked (2, ns) state: the same
+operations in the same order, so the solver must match them bit for
+bit.  Last, the errors of one Monte-Carlo replicate as the harness computed them
 before the reference was shared: the reference marches the whole path
 lattice and every ladder entry runs its own trajectory.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -469,6 +475,101 @@ def kkt_residual(prob, u_interior, eps=0.0):
     return float(np.linalg.norm(r[prob.ops.interior]))
 
 
+class ComponentPoint(NamedTuple):
+    g1: np.ndarray
+    g2: np.ndarray
+    mass_u: np.ndarray
+    norms: np.ndarray
+    scale: np.ndarray
+
+
+def component_point(prob, u_interior, eps):
+    """The state at (u, eps) from one product with ``point_op``, component by component."""
+    ns = prob.ops.n_simplices
+    state = prob.ops.point_op @ u_interior
+    g1, g2 = state[:ns], state[ns : 2 * ns]
+    norms = np.sqrt(eps * eps + g1 * g1 + g2 * g2)
+    p, kappa = prob.params.p, prob.params.kappa
+    if p < 2.0 and kappa == 0.0 and eps == 0.0:
+        with np.errstate(divide="ignore"):
+            scale = norms ** (p - 2.0)
+        scale[norms == 0.0] = 0.0
+    else:
+        scale = (kappa + norms) ** (p - 2.0)
+    return ComponentPoint(g1, g2, state[2 * ns :], norms, scale)
+
+
+def component_objective(prob, u_interior, pt):
+    """J at kappa = 0: 1/2 u' P u + tau sum_j |S_j| n**2 s / p - load' u."""
+    energy = prob.tau_m * float(prob.ops.areas @ (pt.norms * pt.norms * pt.scale / prob.params.p))
+    quad = 0.5 * float(u_interior @ pt.mass_u)
+    return quad + energy - float(prob.load[prob.ops.interior] @ u_interior)
+
+
+def component_residual(prob, pt):
+    """Interior part of P u + tau sum_i Di' diag(areas) s_i - Pt' f."""
+    flux = np.concatenate((pt.scale * pt.g1, pt.scale * pt.g2))
+    return pt.mass_u + prob.tau_m * (prob.ops.flux_op @ flux) - prob.load[prob.ops.interior]
+
+
+def component_newton_matrix(prob, w11, w12, w22):
+    """Band data of R P R' plus tau times the stiffness weighted by (w11, w12, w22)."""
+    pattern = prob.ops.pattern
+    h = pattern.products @ np.concatenate((w11, w12, w22))
+    h *= prob.tau_m
+    h += pattern.mass
+    return h
+
+
+def component_hessian(prob, pt):
+    """Interior Hessian of J at a non-singular point."""
+    p = prob.params.p
+    a, norms, g1, g2 = pt.scale, pt.norms, pt.g1, pt.g2
+    b = np.divide((p - 2.0) * a, (prob.params.kappa + norms) * norms, out=np.zeros_like(norms), where=norms > 0.0)
+    areas = prob.ops.areas
+    w11 = areas * (a + b * g1 * g1)
+    w22 = areas * (a + b * g2 * g2)
+    w12 = areas * (b * g1 * g2)
+    return component_newton_matrix(prob, w11, w12, w22)
+
+
+class ComponentDual(NamedTuple):
+    s: np.ndarray
+    c: np.ndarray
+    sigma1: np.ndarray
+    sigma2: np.ndarray
+
+
+def component_dual(prob, pt, flux=None):
+    """The flux at ``pt`` scaled into the ball |sigma| <= s n; the primal flux without ``flux``."""
+    p, norms, s = prob.params.p, pt.norms, pt.scale
+    c = (p - 2.0) / (norms * (prob.params.kappa + norms))
+    if flux is None:
+        return ComponentDual(s, c, s * pt.g1, s * pt.g2)
+    sigma1, sigma2 = flux
+    r = s * norms
+    k = r / np.maximum(np.sqrt(sigma1 * sigma1 + sigma2 * sigma2), r)
+    return ComponentDual(s, c, sigma1 * k, sigma2 * k)
+
+
+def component_dual_hessian(prob, pt, dual):
+    """Primal-dual Newton matrix, weights |S_j| (s I + c/2 (sigma g' + g sigma'))."""
+    g1, g2, sigma1, sigma2 = pt.g1, pt.g2, dual.sigma1, dual.sigma2
+    areas = prob.ops.areas
+    w11 = areas * (dual.s + dual.c * sigma1 * g1)
+    w22 = areas * (dual.s + dual.c * sigma2 * g2)
+    w12 = areas * (0.5 * dual.c * (sigma1 * g2 + sigma2 * g1))
+    return component_newton_matrix(prob, w11, w12, w22)
+
+
+def component_dual_step(prob, old, dual, new):
+    """sigma <- s g' + c sigma (g . (g' - g)) from ``old`` to ``new``, projected at ``new``."""
+    t = old.g1 * (new.g1 - old.g1) + old.g2 * (new.g2 - old.g2)
+    sigma1 = dual.s * new.g1 + dual.c * t * dual.sigma1
+    sigma2 = dual.s * new.g2 + dual.c * t * dual.sigma2
+    return component_dual(prob, new, (sigma1, sigma2))
+
+
 # the continuation of the primal solve, kept here so the oracle does not
 # follow the solver's own choice of smoothing level
 PRIMAL_EPS_SCHEDULE = (1e-2, 1e-4, 1e-6)
@@ -488,8 +589,7 @@ def _primal_level(prob, u, eps, target, max_iter):
     while float(np.linalg.norm(g)) > target:
         if it >= max_iter:
             raise ConvergenceError(f"iteration cap {max_iter} exceeded at eps={eps:g}")
-        d = _newton_direction(_hessian(prob, u, eps), g, prob.ops.pattern)
-        slope = float(g @ d)
+        d, slope = _newton_direction(_hessian(prob, u, eps), g, prob.ops.pattern)
         if abs(slope) * 0.5 < 1e-15 * (1.0 + abs(f)):
             break
         alpha = 1.0

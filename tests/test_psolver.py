@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import quad
 import oracles
 from oracles import band_to_dense, jittered_mesh, rotate_rows, rotated_mesh
 
@@ -30,6 +31,7 @@ from splap.psolver import (
     _newton_direction,
     _point,
     _presolve,
+    _shifted_density,
     _smoothed_tensor,
     gradient,
     kkt_residual,
@@ -237,6 +239,27 @@ def test_solve_step_small_tau_is_l2_projection():
     assert np.allclose(u, proj, rtol=1e-6, atol=1e-12)
 
 
+def shifted_density_by_quadrature(t, p, kappa):
+    """int_0^t (kappa + s)**(p-2) s ds, kappa > 0."""
+    value, _ = quad(lambda s: (kappa + s) ** (p - 2.0) * s, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=100)
+    return value
+
+
+@pytest.mark.parametrize("kappa", [0.3, 2.0])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5, 4.0])
+def test_shifted_density_matches_quadrature(p, kappa):
+    # at n << kappa the closed form's terms of order kappa**p cancel to
+    # kappa**(p-2) n**2 / 2; the density keeps its digits down to n/kappa = 1e-8
+    n = kappa * np.logspace(-8, 1, 91)
+    density, terms = _shifted_density(n, p, kappa)
+    expected = [shifted_density_by_quadrature(t, p, kappa) for t in n]
+    np.testing.assert_allclose(density, expected, rtol=1e-13, atol=0.0)
+    # the size of a series sum of positive terms is the sum itself
+    assert np.all(terms >= density)
+    small = np.log1p(n / kappa) < 0.5
+    assert small.any() and np.array_equal(terms[small], density[small])
+
+
 # kappa = 0 is test_acceptance::test_brute_force_optimizer_oracle, case for case
 @pytest.mark.parametrize("kappa", [0.3])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
@@ -244,10 +267,22 @@ def test_solve_step_brute_force_oracle(p, kappa):
     # n = 2 has a single interior unknown: compare with grid search
     ops = assemble(generate_unit_square(2))
     rng = np.random.default_rng(int(100 * p))
+    eps = EPS_FINAL if p < 2.0 else 0.0
     for _ in range(20):
         forcing = rng.standard_normal(3 * ops.n_simplices)
         prob = StepProblem(ops=ops, params=GrowthParams(p, kappa=kappa), tau_m=0.3, forcing=forcing)
-        u, _ = solve_step(prob, np.zeros(1), tol=1e-12)
+        target = 1e-12 * (1.0 + np.linalg.norm(gradient(prob, np.zeros(1), eps)))
+        u, report = solve_step(prob, np.zeros(1), tol=1e-12)
+        # Newton stops at the target, or where the decrease it predicts,
+        # |g|**2 / H / 2 (H the primal Hessian, which the dual matrix
+        # approaches), is below the float resolution 1e-15 size of J's own
+        # terms |1/2 u' P u| + tau sum_j |S_j| phi(n_j) + |f' Pt u|: not of
+        # terms of order kappa**p that cancel on the flat corner simplices
+        point = _point(prob, u, eps)
+        energy = sum(a * shifted_density_by_quadrature(t, p, kappa) for a, t in zip(ops.areas, point.norms))
+        size = abs(0.5 * float(u @ point.mass_u)) + prob.tau_m * energy + abs(float(prob.load[ops.interior] @ u))
+        hessian = float(_hessian(prob, u, eps)[0])
+        assert report.final_grad_norm <= target or report.final_grad_norm**2 <= 2e-15 * size * hessian
         # refine a bracket around the reported minimizer down to 1e-6
         center = float(u[0])
         radius = max(1.0, abs(center))
@@ -425,7 +460,7 @@ def test_hessian_matches_sparse_product_oracle(mesh_name, p, eps, kappa):
         # the banded Cholesky direction against SuperLU on the oracle matrix
         g = gradient(prob, u, eps)
         expected = spla.splu(oracle).solve(-g)
-        d = _newton_direction(fast, g, ops.pattern)
+        d, _ = _newton_direction(fast, g, ops.pattern)
         np.testing.assert_allclose(d, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
@@ -505,7 +540,7 @@ def test_newton_direction_falls_back_to_mass_shift():
     ops = assemble(jittered_mesh(4, seed=5))
     pattern = ops.pattern
     g = np.random.default_rng(13).standard_normal(ops.n_interior)
-    d = _newton_direction(np.zeros_like(pattern.mass), g, pattern)
+    d, _ = _newton_direction(np.zeros_like(pattern.mass), g, pattern)
     r = oracles.restriction(ops)
     mass_ii = r @ ops.mass @ r.T
     expected = spla.splu(sp.csc_matrix(HESSIAN_SHIFT * mass_ii)).solve(-g)
@@ -706,7 +741,7 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
     # point_op: both gradient components and the interior part of P u
     gathered = oracles.gathered_state(ops, u)
     for fast, csr, old in zip(
-        (point.g1, point.g2, point.mass_u), (d1 @ u_full, d2 @ u_full, (ops.mass @ u_full)[ops.interior]), gathered
+        (*point.grads, point.mass_u), (d1 @ u_full, d2 @ u_full, (ops.mass @ u_full)[ops.interior]), gathered
     ):
         assert_matches(fast, csr)
         assert_matches(fast, old)
@@ -719,11 +754,11 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
     assert_matches(residual, oracles.bincount_residual(prob, u, s1, s2))
     # products: the weighted stiffness of per-simplex weights built from
     # the point's scale and gradient
-    scale = point.scale
-    w11 = areas * scale * (1.0 + point.g1 * point.g1)
-    w12 = areas * point.g1 * point.g2
-    w22 = areas * scale * (1.0 + point.g2 * point.g2)
-    fast = ops.pattern.weighted_stiffness(w11, w12, w22)
+    scale, (g1, g2) = point.scale, point.grads
+    w11 = areas * scale * (1.0 + g1 * g1)
+    w12 = areas * g1 * g2
+    w22 = areas * scale * (1.0 + g2 * g2)
+    fast = ops.pattern.weighted_stiffness(np.array([w11, w12, w22]))
     assert_matches(fast, oracles.bincount_weighted_stiffness(ops, w11, w12, w22))
     r = oracles.restriction(ops)
     dense = (
@@ -877,19 +912,19 @@ def test_dual_matrix_at_primal_flux_is_the_hessian(mesh_name, p, kappa):
         assert_matches(_dual_hessian(prob, _dual(prob, point, _smoothed_tensor(prob, point))), hessian)
 
 
-def flux_radius_and_size(prob, point, sigma1, sigma2):
-    """(kappa + n)**(p-2) n and |sigma| per simplex of ``point``."""
+def flux_radius_and_size(prob, point, sigma):
+    """(kappa + n)**(p-2) n and |sigma| per simplex of ``point``, sigma (2, ns)."""
     norms = point.norms
     radius = (prob.params.kappa + norms) ** (prob.params.p - 2.0) * norms
-    return radius, np.linalg.norm(np.column_stack([sigma1, sigma2]), axis=1)
+    return radius, np.linalg.norm(sigma, axis=0)
 
 
 def random_flux(prob, point, rng, fraction):
-    """Fluxes of ``fraction`` times the ball's radius, in random directions."""
-    radius, _ = flux_radius_and_size(prob, point, point.g1, point.g2)
+    """(2, ns) fluxes of ``fraction`` times the ball's radius, in random directions."""
+    radius, _ = flux_radius_and_size(prob, point, point.grads)
     angle = rng.uniform(0.0, 2.0 * np.pi, size=radius.shape[0])
     length = radius * fraction
-    return length * np.cos(angle), length * np.sin(angle)
+    return np.array([length * np.cos(angle), length * np.sin(angle)])
 
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
@@ -910,19 +945,19 @@ def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa):
         flux = random_flux(prob, point, rng, fraction)
         dual = _dual(prob, point, flux)
         # the projection keeps a flux that is inside already
-        np.testing.assert_allclose(np.column_stack([dual.sigma1, dual.sigma2]), np.column_stack(flux), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(dual.sigma, flux, rtol=1e-14, atol=0.0)
         h = _dual_hessian(prob, dual)
         assert splu(pattern, h, rng.standard_normal(prob.ops.n_interior)) is not None
         s = (kappa + point.norms) ** (p - 2.0)
         areas = prob.ops.areas
         floor = pattern.mass + prob.tau_m * (p - 1.0) * pattern.weighted_stiffness(
-            areas * s, np.zeros_like(areas), areas * s
+            np.array([areas * s, np.zeros_like(areas), areas * s])
         )
         excess = band_to_dense(pattern, h - floor)
         assert np.linalg.eigvalsh(excess)[0] >= -1e-12 * np.abs(band_to_dense(pattern, h)).max()
         # a flux outside the ball is scaled onto its boundary
         outside = _dual(prob, point, random_flux(prob, point, rng, rng.uniform(1.5, 4.0, size=fraction.shape)))
-        radius, size = flux_radius_and_size(prob, point, outside.sigma1, outside.sigma2)
+        radius, size = flux_radius_and_size(prob, point, outside.sigma)
         np.testing.assert_allclose(size, radius, rtol=1e-14, atol=0.0)
 
 
@@ -931,14 +966,14 @@ def test_flux_projection_and_update_at_zero():
     ops = assemble(generate_unit_square(4))
     prob = StepProblem(ops=ops, params=GrowthParams(1.1), tau_m=0.2, forcing=np.zeros(3 * ops.n_simplices))
     zero = np.zeros(ops.n_interior)
-    flux = (np.zeros(ops.n_simplices), np.zeros(ops.n_simplices))
+    flux = np.zeros((2, ops.n_simplices))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise"):
             for eps in SMOOTHING_EPS:
                 point = _point(prob, zero, eps)
                 for dual in (_dual(prob, point, flux), _dual_step(prob, _dual(prob, point), point)):
-                    assert np.array_equal(dual.sigma1, flux[0]) and np.array_equal(dual.sigma2, flux[1])
+                    assert np.array_equal(dual.sigma, flux)
                     assert_matches(_dual_hessian(prob, dual), _hessian(prob, zero, eps))
             u, report = solve_step(prob, zero)
     assert np.array_equal(u, zero)
@@ -954,10 +989,9 @@ def test_dual_flux_stays_in_the_ball_of_each_level(monkeypatch):
 
     def checked(prob, dual):
         point = dual.point
-        radius, size = flux_radius_and_size(prob, point, dual.sigma1, dual.sigma2)
+        radius, size = flux_radius_and_size(prob, point, dual.sigma)
         assert np.all(size <= radius * (1.0 + 1e-14))
-        primal = np.column_stack(_smoothed_tensor(prob, point))
-        seen.append((point.eps, np.column_stack([dual.sigma1, dual.sigma2]), primal))
+        seen.append((point.eps, dual.sigma.copy(), _smoothed_tensor(prob, point)))
         return dual_hessian(prob, dual)
 
     monkeypatch.setattr(splap.psolver, "_dual_hessian", checked)
@@ -1004,6 +1038,74 @@ def test_primal_dual_halves_newton_iterations_at_p_1_1(monkeypatch):
     assert primal_dual <= 0.7 * primal
 
 
+STACKED_STATE_CASES = [(p, eps) for p in (1.1, 1.5, 2.5) for eps in (0.0, 1e-6)]
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("p, eps", STACKED_STATE_CASES)
+def test_stacked_state_is_bitwise_the_componentwise_one(mesh_name, p, eps):
+    # the stacked (2, ns) state, its in-place norms, energy, residual and
+    # Newton weights, and the primal-dual flux, update and matrix against
+    # the same operations one component at a time: equal, not close
+    ops = assemble(oracle_meshes()[mesh_name])
+    rng = np.random.default_rng(int(100 * p) + int(1e6 * eps))
+    prob = StepProblem(ops=ops, params=GrowthParams(p), tau_m=0.3, forcing=rng.standard_normal(3 * ops.n_simplices))
+    singular = eps == 0.0 and p < 2.0
+    u, v = rng.standard_normal((2, ops.n_interior))
+    point, expected = _point(prob, u, eps), oracles.component_point(prob, u, eps)
+    for got, want in zip((*point.grads, point.mass_u, point.norms, point.scale), expected):
+        assert np.array_equal(got, want)
+    assert objective(prob, u, eps) == oracles.component_objective(prob, u, expected)
+    assert np.array_equal(splap.psolver._form_residual(prob, point), oracles.component_residual(prob, expected))
+    if singular:
+        return
+    assert np.array_equal(_hessian(prob, u, eps), oracles.component_hessian(prob, expected))
+    if eps == 0.0:
+        return
+    # the primal flux, a flux projected from outside the ball, a step to v
+    new, expected_new = _point(prob, v, eps), oracles.component_point(prob, v, eps)
+    flux = random_flux(prob, point, rng, rng.uniform(0.0, 3.0, size=point.norms.shape))
+    for dual, want in (
+        (_dual(prob, point), oracles.component_dual(prob, expected)),
+        (_dual(prob, point, flux), oracles.component_dual(prob, expected, flux)),
+    ):
+        assert np.array_equal(point.c, want.c)
+        assert np.array_equal(dual.sigma, [want.sigma1, want.sigma2])
+        assert np.array_equal(_dual_hessian(prob, dual), oracles.component_dual_hessian(prob, expected, want))
+        stepped = _dual_step(prob, dual, new)
+        want = oracles.component_dual_step(prob, expected, want, expected_new)
+        assert np.array_equal(stepped.sigma, [want.sigma1, want.sigma2])
+        assert np.array_equal(_dual_hessian(prob, stepped), oracles.component_dual_hessian(prob, expected_new, want))
+
+
+def test_trial_and_dual_step_leave_the_kept_arrays_unchanged():
+    # the accepted point, the dual's point and a line-search trial are
+    # alive at once: evaluating trials and stepping the dual writes into
+    # none of the arrays the first two hold
+    prob, rng = smoothed_problem("jittered", 1.1, 0.0, 0.5, seed=31)
+    eps = EPS_FINAL
+    u = rng.standard_normal(prob.ops.n_interior)
+    g = gradient(prob, u, eps)
+    objective(prob, u, eps)
+    point = _point(prob, u, eps)
+    dual = _dual(prob, point)
+    d, _ = _newton_direction(_dual_hessian(prob, dual), g, prob.ops.pattern)
+    kept = [point.u, *point.grads, point.mass_u, point.norms, point.scale, point.residual, point.c, dual.sigma]
+    before = [a.copy() for a in kept]
+    objective(prob, point.u + d, eps)
+    new = prob._last
+    gradient(prob, new.u, eps)
+    accepted = [new.u, *new.grads, new.mass_u, new.norms, new.scale, new.residual]
+    before += [a.copy() for a in accepted]
+    stepped = _dual_step(prob, dual, new)
+    _dual_hessian(prob, stepped)
+    objective(prob, new.u - 0.5 * d, eps)
+    for a, b in zip(kept + accepted, before):
+        assert np.array_equal(a, b)
+    for a in kept:
+        assert not any(np.shares_memory(a, b) for b in (*accepted, new.c, stepped.sigma))
+
+
 ISOTROPY_CASES = [
     (p, kappa, eps) for p in (1.1, 1.2, 1.5, 2.0, 2.5, 4.0) for kappa in (0.0, 0.3) for eps in (0.0, 1e-6, 1e-2)
 ]
@@ -1035,9 +1137,9 @@ def test_step_evaluations_are_invariant_under_rotation(mesh_name, p, kappa, eps)
         u = rng.standard_normal(prob.ops.n_interior)
         point, turned_point = _point(prob, u, eps), _point(turned, u, eps)
         # the turn is a real one: every gradient turns, its norm stays
-        for got, expected in zip(turned_point.grads, rotate_rows(point.g1, point.g2, angle)):
+        for got, expected in zip(turned_point.grads, rotate_rows(*point.grads, angle)):
             assert_matches(got, expected)
-        assert not np.allclose(turned_point.g1, point.g1)
+        assert not np.allclose(turned_point.grads[0], point.grads[0])
         assert_matches(turned_point.norms, point.norms)
         assert np.isclose(objective(turned, u, eps), objective(prob, u, eps), rtol=1e-12, atol=0.0)
         assert np.isclose(kkt_residual(turned, u, eps), kkt_residual(prob, u, eps), rtol=1e-12, atol=0.0)
@@ -1055,8 +1157,8 @@ def test_step_evaluations_are_invariant_under_rotation(mesh_name, p, kappa, eps)
         point, turned_point = _point(prob, u, eps), _point(turned, u, eps)
         flux = random_flux(prob, point, rng, rng.uniform(0.0, 3.0, size=point.norms.shape))
         dual = _dual(prob, point, flux)
-        turned_dual = _dual(turned, turned_point, rotate_rows(*flux, angle))
-        for got, expected in zip((turned_dual.sigma1, turned_dual.sigma2), rotate_rows(dual.sigma1, dual.sigma2, angle)):
+        turned_dual = _dual(turned, turned_point, np.array(rotate_rows(*flux, angle)))
+        for got, expected in zip(turned_dual.sigma, rotate_rows(*dual.sigma, angle)):
             assert_matches(got, expected)
         assert_matches(
             band_to_dense(turned.ops.pattern, _dual_hessian(turned, turned_dual)),
@@ -1066,9 +1168,7 @@ def test_step_evaluations_are_invariant_under_rotation(mesh_name, p, kappa, eps)
         v = u + 0.1 * rng.standard_normal(u.shape[0])
         stepped = _dual_step(prob, dual, _point(prob, v, eps))
         turned_stepped = _dual_step(turned, turned_dual, _point(turned, v, eps))
-        for got, expected in zip(
-            (turned_stepped.sigma1, turned_stepped.sigma2), rotate_rows(stepped.sigma1, stepped.sigma2, angle)
-        ):
+        for got, expected in zip(turned_stepped.sigma, rotate_rows(*stepped.sigma, angle)):
             assert_matches(got, expected)
 
 
