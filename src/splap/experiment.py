@@ -94,18 +94,9 @@ def _csv_rows(tables: list[MonteCarloTable]) -> str:
     for table in tables:
         for k, r in enumerate(table.replicates):
             for i, tau in enumerate(table.taus):
-                lines.append(
-                    ",".join(
-                        (
-                            repr(float(table.p)),
-                            repr(float(tau)),
-                            str(int(r)),
-                            repr(float(table.totals[k, i])),
-                            repr(float(table.max_l2[k, i])),
-                            repr(float(table.quasi[k, i])),
-                        )
-                    )
-                )
+                errors = (table.totals[k, i], table.max_l2[k, i], table.quasi[k, i])
+                cells = [repr(float(table.p)), repr(float(tau)), str(int(r)), *(repr(float(e)) for e in errors)]
+                lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -119,17 +110,22 @@ def read_results_csv(text: str) -> dict[float, dict]:
         parts = ln.split(",")
         if len(parts) != 6:
             raise ValueError(f"malformed results row: {ln!r}")
-        p = float(parts[0])
-        tau = float(parts[1])
-        r = int(parts[2])
+        p, tau, r = float(parts[0]), float(parts[1]), int(parts[2])
         rec = cells.setdefault(p, {"taus": [], "rows": {}})
         if tau not in rec["taus"]:
             rec["taus"].append(tau)
-        rec["rows"].setdefault(r, {})[tau] = (float(parts[3]), float(parts[4]), float(parts[5]))
+        row = rec["rows"].setdefault(r, {})
+        if tau in row:
+            raise ValueError(f"repeated results row for p={p!r}, tau={tau!r}, replicate {r}")
+        row[tau] = (float(parts[3]), float(parts[4]), float(parts[5]))
     out = {}
     for p, rec in cells.items():
         taus = rec["taus"]
         reps = sorted(rec["rows"])
+        missing = [(tau, r) for r in reps for tau in taus if tau not in rec["rows"][r]]
+        if missing:
+            tau, r = missing[0]
+            raise ValueError(f"no results row for p={p!r}, tau={tau!r}, replicate {r}")
         cube = np.array([[rec["rows"][r][t] for t in taus] for r in reps])
         out[p] = {
             "taus": taus,
@@ -141,12 +137,9 @@ def read_results_csv(text: str) -> dict[float, dict]:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None, out_dir: str | None = None) -> int:
-    """Run the full protocol and persist artifacts; 0 on a clean run."""
-    if workers is None:
-        workers = cfg.workers
-    if workers <= 0:
-        workers = os.cpu_count() or 1
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+    """Run the full protocol with ``cfg.workers`` and persist artifacts; 0 on a clean run."""
+    workers = cfg.workers if cfg.workers > 0 else os.cpu_count() or 1
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -22,15 +22,15 @@ components on every simplex and the interior part of P u; the smoothed
 norms and their power (kappa + n)**(p-2), from which the energy, the
 tensor, the Hessian and the dual flux all derive, are computed once.
 That state is kept in a one-slot memo on the StepProblem, keyed on eps
-and on u: first by identity with the memo's own read-only copy of u,
-from which the Newton loop continues, then by value for other callers.
-So the accepted line-search trial's state serves the gradient and the
-Newton matrix.  The residual is one more product, with
-``FemOperators.flux_op``, formed once per point and kept with it.
-Gradients and dual fluxes are (2, ns) arrays and Newton weights one
-(3, ns) array, formed in place, in their formulas' order of operations,
-only in arrays the call allocated: the accepted point, the dual's point
-and the line-search trial are alive at once and share no buffer.
+and on the identity of u with the memo's own read-only copy of it.
+Every point the Newton loop holds is such a copy, so the accepted
+line-search trial's state serves the gradient and the Newton matrix;
+any other array is evaluated afresh, to the same bits.  The residual is
+one more product, with ``FemOperators.flux_op``, formed once per point
+and kept with it.  Gradients and dual fluxes are (2, ns) arrays and
+Newton weights one (3, ns) array, formed in place, in their formulas'
+order of operations, only in arrays the call allocated: the accepted
+point and the line-search trial are alive at once and share no buffer.
 Every Newton matrix, the start-candidate system and the mass-shifted
 retry are band data vectors of ``FemOperators.pattern`` (a reverse
 Cuthill-McKee order fixed per mesh): the interior mass plus tau times
@@ -138,7 +138,7 @@ class StepProblem:
         load = self.ops.load_op @ forcing
         object.__setattr__(self, "_load", load)
         object.__setattr__(self, "_load_interior", load[self.ops.interior])
-        # the last _Point built, reused while (u, eps) stays the same
+        # the last _Point built, reused when its own u comes back at its eps
         object.__setattr__(self, "_last", None)
 
     @property
@@ -159,8 +159,8 @@ class _Point:
     |S_j| (the magnitudes of the terms of phi) + |f' Pt u|, the magnitude
     of J's terms, which ``objective`` sets; ``residual`` the interior
     gradient of J, which ``_residual`` forms once and keeps read-only;
-    ``c`` the (ns,) (p-2) / (n (kappa + n)) of the primal-dual matrix,
-    which ``_dual`` sets.
+    ``c`` the (ns,) (p-2) / (n (kappa + n)) and ``sigma`` the (2, ns)
+    dual flux of the primal-dual matrix, which ``_dual`` sets.
     """
 
     u: np.ndarray
@@ -172,21 +172,19 @@ class _Point:
     size: float = float("nan")
     residual: np.ndarray | None = None
     c: np.ndarray | None = None
+    sigma: np.ndarray | None = None
 
 
 def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
-    """The state at (u, eps): the memo's when u is its own u or equals it by value, else built."""
+    """The state at (u, eps): the memo's when u is the memo's own u, else built."""
     last = prob._last
     if last is not None and u_interior is last.u and last.eps == eps:
         return last
-    u_interior = _check_interior(prob, u_interior)
+    u_interior = np.asarray(u_interior, dtype=float)
+    if u_interior.shape != (prob.ops.n_interior,):
+        raise ValueError(f"expected {prob.ops.n_interior} interior coefficients, got shape {u_interior.shape}")
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    # a line-search trial differs from the memo in its first entry
-    # already, which settles the value lookup without a pass over u
-    if last is not None and last.eps == eps and (not u_interior.size or u_interior[0] == last.u[0]):
-        if np.array_equal(last.u, u_interior):
-            return last
     ops = prob.ops
     ns = ops.n_simplices
     state = ops.point_op @ u_interior
@@ -212,13 +210,6 @@ def _point(prob: StepProblem, u_interior: np.ndarray, eps: float) -> _Point:
     return point
 
 
-def _check_interior(prob: StepProblem, u_interior: np.ndarray) -> np.ndarray:
-    u_interior = np.asarray(u_interior, dtype=float)
-    if u_interior.shape != (prob.ops.n_interior,):
-        raise ValueError(f"expected {prob.ops.n_interior} interior coefficients, got shape {u_interior.shape}")
-    return u_interior
-
-
 def _residual(prob: StepProblem, point: _Point) -> np.ndarray:
     """Interior part of P u + tau sum_i Di' diag(areas) s_i - Pt' f at ``point``, formed once."""
     if point.residual is None:
@@ -227,7 +218,7 @@ def _residual(prob: StepProblem, point: _Point) -> np.ndarray:
 
 
 def _form_residual(prob: StepProblem, point: _Point) -> np.ndarray:
-    r = prob.ops.flux_op @ _smoothed_tensor(prob, point).ravel()
+    r = prob.ops.flux_op @ (point.scale * point.grads).ravel()
     r *= prob.tau_m
     r += point.mass_u
     r -= prob._load_interior
@@ -308,11 +299,6 @@ def gradient(prob: StepProblem, u_interior: np.ndarray, eps: float = 0.0) -> np.
     point = _point(prob, u_interior, eps)
     _raise_if_singular(point.norms, prob.params.p, eps)
     return _residual(prob, point)
-
-
-def _smoothed_tensor(prob: StepProblem, point: _Point) -> np.ndarray:
-    """The (2, ns) components (s1, s2) of the tensor of the eps-smoothed energy per simplex."""
-    return point.scale * point.grads
 
 
 def _hessian(prob: StepProblem, u_interior: np.ndarray, eps: float) -> np.ndarray:
@@ -402,27 +388,18 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, pattern: InteriorPattern) ->
     return d, slope
 
 
-@dataclass(slots=True)
-class _Dual:
-    """The (2, ns) dual flux sigma per simplex at one point of a smoothed level.
+def _dual(prob: StepProblem, point: _Point, flux: np.ndarray | None = None) -> None:
+    """Set ``point``'s c and its dual flux sigma (eps > 0).
 
-    The point carries s = (kappa + n)**(p-2) and c = (p-2) / (n (kappa +
-    n)) at the smoothed norm n of its gradient.
-    """
-
-    point: _Point
-    sigma: np.ndarray
-
-
-def _dual(prob: StepProblem, point: _Point, flux: np.ndarray | None = None) -> _Dual:
-    """The (2, ns) ``flux`` at ``point`` (eps > 0), scaled into the ball |sigma| <= (kappa + n)**(p-2) n.
-
-    Without ``flux``, the primal flux s g, which lies in the ball.
+    sigma is the (2, ns) ``flux`` scaled into the ball |sigma| <=
+    (kappa + n)**(p-2) n, or without ``flux`` the primal flux s g, which
+    lies in the ball.
     """
     norms, s = point.norms, point.scale
     point.c = (prob.params.p - 2.0) / (norms * (prob.params.kappa + norms))
     if flux is None:
-        return _Dual(point, s * point.grads)
+        point.sigma = s * point.grads
+        return
     # a radius is at least (kappa + eps)**(p-2) eps > 0: inside the ball
     # the scale is r / r = 1, and a zero flux divides no zero by zero
     r = s * norms
@@ -432,19 +409,18 @@ def _dual(prob: StepProblem, point: _Point, flux: np.ndarray | None = None) -> _
     np.sqrt(k, out=k)
     np.maximum(k, r, out=k)
     np.divide(r, k, out=k)
-    return _Dual(point, flux * k)
+    point.sigma = flux * k
 
 
-def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
-    """Primal-dual Newton matrix at ``dual.point``, a band data vector of ``ops.pattern``.
+def _dual_hessian(prob: StepProblem, point: _Point) -> np.ndarray:
+    """Primal-dual Newton matrix at ``point``, a band data vector of ``ops.pattern``.
 
     Per simplex the weights are |S_j| (s I + c/2 (sigma g' + g sigma')).
     At the primal flux s g this is the Hessian of the smoothed
     objective; inside the ball of _dual each weight is at least
     (p - 1) s, so the matrix is positive definite.
     """
-    point, sigma = dual.point, dual.sigma
-    grads, c = point.grads, point.c
+    grads, c, sigma = point.grads, point.c, point.sigma
     w = np.empty((3, c.shape[0]))
     # c/2 (sigma1 g2 + sigma2 g1)
     cross = sigma * grads[::-1]
@@ -458,72 +434,15 @@ def _dual_hessian(prob: StepProblem, dual: _Dual) -> np.ndarray:
     return _newton_matrix(prob, w)
 
 
-def _dual_step(prob: StepProblem, dual: _Dual, new: _Point) -> _Dual:
-    """sigma <- s g' + c sigma (g . (g' - g)) from ``dual.point`` to ``new``, projected at ``new``."""
-    old = dual.point
+def _dual_step(prob: StepProblem, old: _Point, new: _Point) -> None:
+    """Set ``new``'s flux: sigma <- s g' + c sigma (g . (g' - g)) from ``old``, projected at ``new``."""
     t = new.grads - old.grads
     t *= old.grads
     t = t[0] + t[1]
     t *= old.c
     sigma = old.scale * new.grads
-    sigma += t * dual.sigma
-    return _dual(prob, new, sigma)
-
-
-def _minimize_level(prob, u, eps, target, max_iter, trace):
-    """Damped Newton at a fixed smoothing level. Returns (u, iterations).
-
-    At eps > 0 the Newton matrix is the primal-dual one, its flux the
-    primal flux at the start point, updated after each accepted step.
-    At eps = 0 it is the primal Hessian.  ``u`` and each iterate are
-    the memo's own copies, so the gradient and Newton matrix find their
-    point by identity.  A ConvergenceError carries the report of the
-    iterations done before it.
-    """
-    g = gradient(prob, u, eps)
-    f = objective(prob, u, eps)
-    trace.append(f)
-    point = _point(prob, u, eps)
-    size = point.size
-    dual = _dual(prob, point) if eps > 0.0 else None
-    it = 0
-    while True:
-        gn = _norm(g)
-        if gn <= target:
-            return u, it
-        if it >= max_iter:
-            raise ConvergenceError(
-                f"iteration cap {max_iter} exceeded at eps={eps:g} (|grad|={gn:.3e})", _report(it, gn, eps, trace)
-            )
-        h = _hessian(prob, u, eps) if dual is None else _dual_hessian(prob, dual)
-        try:
-            d, slope = _newton_direction(h, g, prob.ops.pattern)
-        except ConvergenceError as exc:
-            exc.report = _report(it, gn, eps, trace)
-            raise
-        if abs(slope) * 0.5 < 1e-15 * size:
-            # Newton's own predicted decrease is below the float
-            # resolution of J's terms: the minimum is resolved to machine
-            # precision and further line searches only sample roundoff.
-            return u, it
-        alpha = 1.0
-        trial = u + d
-        while True:
-            ft = objective(prob, trial, eps)
-            if math.isfinite(ft) and ft <= f + ARMIJO_C1 * alpha * slope:
-                break
-            alpha *= 0.5
-            if alpha < 2.0**-60:
-                raise ConvergenceError(f"line search stalled at eps={eps:g}", _report(it, gn, eps, trace))
-            trial = u + alpha * d
-        # the trial's point, which objective left in the memo
-        point = prob._last
-        if dual is not None:
-            dual = _dual_step(prob, dual, point)
-        u, f, size = point.u, ft, point.size
-        trace.append(f)
-        it += 1
-        g = gradient(prob, u, eps)
+    sigma += t * old.sigma
+    _dual(prob, new, sigma)
 
 
 def _presolve(prob: StepProblem, scale: np.ndarray | None = None) -> np.ndarray | None:
@@ -554,7 +473,7 @@ def solve_step(
 ) -> tuple[np.ndarray, SolveReport]:
     """Minimize the step objective from a warm start.
 
-    Stops when the gradient norm at the smoothing level drops below
+    Stops when the gradient norm of the eps-smoothed objective drops below
     ``tol * (1 + |grad at warm_start|)``, or earlier when the predicted
     Newton decrease falls below the float resolution of the objective's
     terms (the minimizer is then resolved to machine precision and no
@@ -566,7 +485,6 @@ def solve_step(
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    warm_start = _check_interior(prob, warm_start)
     # p >= 2 needs no smoothing
     p = prob.params.p
     eps = 0.0 if p >= 2.0 else EPS_FINAL
@@ -586,10 +504,58 @@ def solve_step(
     if pre is None:
         raise ConvergenceError("presolve factorization failed", _report(0, g0, eps, trace))
     if objective(prob, pre, eps) < f_warm:
-        u = prob._last.u
+        point = prob._last
     else:
-        u = warm.u
+        point = warm
         object.__setattr__(prob, "_last", warm)
-    u, iterations = _minimize_level(prob, u, eps, tol * (1.0 + g0), max_iter, trace)
-    # the point of u is the memo's, its residual formed: no new work
-    return u.copy(), _report(iterations, _norm(gradient(prob, u, eps)), eps, trace)
+
+    # Damped Newton from the start point.  For p < 2 the Newton matrix is
+    # the primal-dual one, its flux the primal flux at the start point,
+    # updated after each accepted step; for p >= 2 it is the Hessian.
+    # Each iterate is the memo's own point, so the gradient and the
+    # Newton matrix find it by identity.
+    target = tol * (1.0 + g0)
+    g = gradient(prob, point.u, eps)
+    f = objective(prob, point.u, eps)
+    trace.append(f)
+    if eps > 0.0:
+        _dual(prob, point)
+    it = 0
+    while True:
+        gn = _norm(g)
+        if gn <= target:
+            break
+        if it >= max_iter:
+            raise ConvergenceError(
+                f"iteration cap {max_iter} exceeded at eps={eps:g} (|grad|={gn:.3e})", _report(it, gn, eps, trace)
+            )
+        h = _hessian(prob, point.u, eps) if eps == 0.0 else _dual_hessian(prob, point)
+        try:
+            d, slope = _newton_direction(h, g, prob.ops.pattern)
+        except ConvergenceError as exc:
+            exc.report = _report(it, gn, eps, trace)
+            raise
+        if abs(slope) * 0.5 < 1e-15 * point.size:
+            # Newton's own predicted decrease is below the float
+            # resolution of J's terms: the minimum is resolved to machine
+            # precision and further line searches only sample roundoff.
+            break
+        alpha = 1.0
+        trial = point.u + d
+        while True:
+            ft = objective(prob, trial, eps)
+            if math.isfinite(ft) and ft <= f + ARMIJO_C1 * alpha * slope:
+                break
+            alpha *= 0.5
+            if alpha < 2.0**-60:
+                raise ConvergenceError(f"line search stalled at eps={eps:g}", _report(it, gn, eps, trace))
+            trial = point.u + alpha * d
+        # the trial's point, which objective left in the memo
+        if eps > 0.0:
+            _dual_step(prob, point, prob._last)
+        point, f = prob._last, ft
+        trace.append(f)
+        it += 1
+        g = gradient(prob, point.u, eps)
+    # the point is the memo's, its residual formed: no new work
+    return point.u.copy(), _report(it, _norm(gradient(prob, point.u, eps)), eps, trace)

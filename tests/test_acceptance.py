@@ -28,6 +28,7 @@ shows that the Monte-Carlo pipeline reproduces the exact p = 2
 expectation it relies on.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -470,8 +471,8 @@ def desk_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("desk")
     serial = root / "serial"
     pool = root / "pool"
-    run_experiment(cfg, workers=1, out_dir=str(serial))
-    run_experiment(cfg, workers=2, out_dir=str(pool))
+    run_experiment(dataclasses.replace(cfg, workers=1), out_dir=str(serial))
+    run_experiment(dataclasses.replace(cfg, workers=2), out_dir=str(pool))
     return serial, pool
 
 

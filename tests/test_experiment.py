@@ -1,5 +1,6 @@
 """End-to-end tests for experiment orchestration, artifacts, and the CLI."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -30,8 +31,8 @@ ARTIFACTS = ("results.csv", "summary.json", "config.echo", "run.log")
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("smoke")
-    cfg = parse_config(SMOKE)
-    status = run_experiment(cfg, workers=1, out_dir=str(out))
+    cfg = dataclasses.replace(parse_config(SMOKE), workers=1)
+    status = run_experiment(cfg, out_dir=str(out))
     return cfg, out, status
 
 
@@ -135,17 +136,20 @@ def test_figures_are_valid_svg(smoke_run):
 def test_reruns_are_byte_identical(tmp_path):
     cfg = parse_config("p_list = 1.5\nmesh_n = 4\ntau_ladder = 1/2, 1/4\ntau_ref = 1/8\nn_r = 3\n")
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_experiment(cfg, workers=1, out_dir=str(a)) in (0, 1)
-    assert run_experiment(cfg, workers=2, out_dir=str(b)) in (0, 1)
+    assert run_experiment(dataclasses.replace(cfg, workers=1), out_dir=str(a)) in (0, 1)
+    assert run_experiment(dataclasses.replace(cfg, workers=2), out_dir=str(b)) in (0, 1)
     for name in ("results.csv", "summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # the echo records the worker count the run used
+    for out, workers in ((a, 1), (b, 2)):
+        assert parse_config((out / "config.echo").read_text()).workers == workers
 
 
 def test_zero_noise_std_columns(tmp_path):
     cfg = parse_config(
         "p_list = 2.5\nmesh_n = 4\ntau_ladder = 1/2, 1/4\ntau_ref = 1/8\nn_r = 3\nphi = 0\n"
     )
-    assert run_experiment(cfg, workers=1, out_dir=str(tmp_path / "z")) in (0, 1)
+    assert run_experiment(dataclasses.replace(cfg, workers=1), out_dir=str(tmp_path / "z")) in (0, 1)
     summary = json.loads((tmp_path / "z" / "summary.json").read_text())
     stds = summary["per_p"]["2.5"]["E_std"]
     assert all(s == 0.0 for s in stds)
@@ -157,7 +161,7 @@ def test_unfittable_mean_curve_keeps_the_run(tmp_path):
     # why in the exponent's block, and exits 1
     cfg = parse_config("p_list = 2.5\nmesh_n = 4\nnoise_mode = multiplicative\nu0 = 0\nn_r = 2\n")
     out = tmp_path / "zero"
-    assert run_experiment(cfg, workers=1, out_dir=str(out)) == 1
+    assert run_experiment(dataclasses.replace(cfg, workers=1), out_dir=str(out)) == 1
     for name in ARTIFACTS + ("fig_p2.5.svg",):
         assert (out / name).is_file(), name
     block = json.loads((out / "summary.json").read_text())["per_p"]["2.5"]
@@ -233,6 +237,33 @@ def test_cli_plot_needs_the_run_summary(tmp_path, capsys):
     capsys.readouterr()
     assert main(["plot", "--csv", str(out / "results.csv")]) == 2
     assert "summary.json" in capsys.readouterr().err
+    assert not (out / "fig_p2.5.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, cell",
+    [
+        # a replicate without its tau = 1/4 row
+        (lambda rows: [r for r in rows if not r.startswith("2.5,0.25,1,")], "tau=0.25, replicate 1"),
+        # a second row for a cell, with another value
+        (lambda rows: rows + ["2.5,0.5,0,1.0,1.0,1.0"], "tau=0.5, replicate 0"),
+    ],
+    ids=["missing-row", "repeated-row"],
+)
+def test_cli_plot_rejects_a_malformed_table(tmp_path, capsys, edit, cell):
+    # a table with a hole or with two values for one cell draws no figure
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("p_list = 2.5\nmesh_n = 2\ntau_ladder = 1/2, 1/4\ntau_ref = 1/8\nn_r = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out), "--workers", "1"]) in (0, 1)
+    csv = out / "results.csv"
+    header, *rows = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, *edit(rows)]) + "\n")
+    (out / "fig_p2.5.svg").unlink()
+    capsys.readouterr()
+    assert main(["plot", "--csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read results" in err and f"p=2.5, {cell}" in err
     assert not (out / "fig_p2.5.svg").exists()
 
 

@@ -32,7 +32,6 @@ from splap.psolver import (
     _point,
     _presolve,
     _shifted_density,
-    _smoothed_tensor,
     gradient,
     kkt_residual,
     objective,
@@ -710,7 +709,8 @@ def test_kept_residual_is_read_only():
         g[0] = 1.0
     with pytest.raises(ValueError):
         g += 1.0
-    assert gradient(prob, u, 1e-6) is g
+    # the memo's own u finds the kept residual; the caller's array, an equal one
+    assert gradient(prob, prob._last.u, 1e-6) is g
     np.testing.assert_array_equal(gradient(prob, u, 1e-6), expected)
     # a caller's own arithmetic on it still runs
     assert np.array_equal(-g, -expected)
@@ -746,7 +746,7 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
         assert_matches(fast, csr)
         assert_matches(fast, old)
     # flux_op: the residual of the point's own tensor
-    s1, s2 = _smoothed_tensor(prob, point)
+    s1, s2 = point.scale * point.grads
     areas = ops.areas
     csr = (ops.mass @ u_full + prob.tau_m * (d1.T @ (areas * s1) + d2.T @ (areas * s2)) - prob.load)[ops.interior]
     residual = splap.psolver._residual(prob, point)
@@ -774,7 +774,7 @@ def test_interior_operators_match_csr_and_bincount_oracles(mesh_name, p, kappa, 
     np.testing.assert_allclose(band_to_dense(ops.pattern, fast), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
-def test_point_reuse_is_keyed_on_value_and_eps():
+def test_point_reuse_is_keyed_on_identity_and_eps():
     ops = assemble(jittered_mesh(6, seed=4))
     rng = np.random.default_rng(18)
     prob = StepProblem(
@@ -796,11 +796,25 @@ def test_point_reuse_is_keyed_on_value_and_eps():
     v = rng.standard_normal(ops.n_interior)
     objective(prob, u, eps)
     assert_matches(_hessian(prob, v, eps), oracles.hessian(prob, v, eps))
-    # an equal value in another array reuses the state
+    # the memo's own read-only u finds its state; at another eps it does not
     gradient(prob, v, eps)
     last = prob._last
-    assert_matches(gradient(prob, v.copy(), eps), oracles.gradient(prob, v, eps))
-    assert prob._last is last
+    assert not last.u.flags.writeable
+    assert _point(prob, last.u, eps) is last
+    assert _point(prob, last.u, 1e-6) is not last
+    # an equal value in another array is evaluated afresh, to the same bits
+    gradient(prob, v, eps)
+    last = prob._last
+    copy = gradient(prob, last.u.copy(), eps)
+    rebuilt = prob._last
+    assert rebuilt is not last
+    assert np.array_equal(copy, last.residual)
+    for got, want in zip(
+        (rebuilt.u, rebuilt.grads, rebuilt.mass_u, rebuilt.norms, rebuilt.scale),
+        (last.u, last.grads, last.mass_u, last.norms, last.scale),
+    ):
+        assert np.array_equal(got, want)
+    assert objective(prob, last.u.copy(), eps) == objective(prob, last.u, eps)
 
 
 def test_point_evaluations_read_no_mass_broken_mass_dgrad_or_restriction():
@@ -907,9 +921,11 @@ def test_dual_matrix_at_primal_flux_is_the_hessian(mesh_name, p, kappa):
         u = rng.standard_normal(prob.ops.n_interior)
         point = _point(prob, u, eps)
         hessian = _hessian(prob, u, eps)
-        assert_matches(_dual_hessian(prob, _dual(prob, point)), hessian)
+        _dual(prob, point)
+        assert_matches(_dual_hessian(prob, point), hessian)
         # the primal flux lies in the ball: projecting it changes nothing
-        assert_matches(_dual_hessian(prob, _dual(prob, point, _smoothed_tensor(prob, point))), hessian)
+        _dual(prob, point, point.scale * point.grads)
+        assert_matches(_dual_hessian(prob, point), hessian)
 
 
 def flux_radius_and_size(prob, point, sigma):
@@ -943,10 +959,10 @@ def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa):
         fraction[: fraction.shape[0] // 3] = 1.0
         fraction[fraction.shape[0] // 3 : fraction.shape[0] // 2] = 0.0
         flux = random_flux(prob, point, rng, fraction)
-        dual = _dual(prob, point, flux)
+        _dual(prob, point, flux)
         # the projection keeps a flux that is inside already
-        np.testing.assert_allclose(dual.sigma, flux, rtol=1e-14, atol=0.0)
-        h = _dual_hessian(prob, dual)
+        np.testing.assert_allclose(point.sigma, flux, rtol=1e-14, atol=0.0)
+        h = _dual_hessian(prob, point)
         assert splu(pattern, h, rng.standard_normal(prob.ops.n_interior)) is not None
         s = (kappa + point.norms) ** (p - 2.0)
         areas = prob.ops.areas
@@ -956,8 +972,8 @@ def test_dual_matrix_factors_inside_the_projection_ball(mesh_name, p, kappa):
         excess = band_to_dense(pattern, h - floor)
         assert np.linalg.eigvalsh(excess)[0] >= -1e-12 * np.abs(band_to_dense(pattern, h)).max()
         # a flux outside the ball is scaled onto its boundary
-        outside = _dual(prob, point, random_flux(prob, point, rng, rng.uniform(1.5, 4.0, size=fraction.shape)))
-        radius, size = flux_radius_and_size(prob, point, outside.sigma)
+        _dual(prob, point, random_flux(prob, point, rng, rng.uniform(1.5, 4.0, size=fraction.shape)))
+        radius, size = flux_radius_and_size(prob, point, point.sigma)
         np.testing.assert_allclose(size, radius, rtol=1e-14, atol=0.0)
 
 
@@ -972,9 +988,13 @@ def test_flux_projection_and_update_at_zero():
         with np.errstate(all="raise"):
             for eps in SMOOTHING_EPS:
                 point = _point(prob, zero, eps)
-                for dual in (_dual(prob, point, flux), _dual_step(prob, _dual(prob, point), point)):
-                    assert np.array_equal(dual.sigma, flux)
-                    assert_matches(_dual_hessian(prob, dual), _hessian(prob, zero, eps))
+                _dual(prob, point, flux)
+                assert np.array_equal(point.sigma, flux)
+                assert_matches(_dual_hessian(prob, point), _hessian(prob, zero, eps))
+                _dual(prob, point)
+                _dual_step(prob, point, point)
+                assert np.array_equal(point.sigma, flux)
+                assert_matches(_dual_hessian(prob, point), _hessian(prob, zero, eps))
             u, report = solve_step(prob, zero)
     assert np.array_equal(u, zero)
     assert report.iterations == 0
@@ -987,12 +1007,11 @@ def test_dual_flux_stays_in_the_ball_of_each_level(monkeypatch):
     seen = []
     dual_hessian = splap.psolver._dual_hessian
 
-    def checked(prob, dual):
-        point = dual.point
-        radius, size = flux_radius_and_size(prob, point, dual.sigma)
+    def checked(prob, point):
+        radius, size = flux_radius_and_size(prob, point, point.sigma)
         assert np.all(size <= radius * (1.0 + 1e-14))
-        seen.append((point.eps, dual.sigma.copy(), _smoothed_tensor(prob, point)))
-        return dual_hessian(prob, dual)
+        seen.append((point.eps, point.sigma.copy(), point.scale * point.grads))
+        return dual_hessian(prob, point)
 
     monkeypatch.setattr(splap.psolver, "_dual_hessian", checked)
     for mesh_name in ("structured", "jittered"):
@@ -1062,48 +1081,54 @@ def test_stacked_state_is_bitwise_the_componentwise_one(mesh_name, p, eps):
     assert np.array_equal(_hessian(prob, u, eps), oracles.component_hessian(prob, expected))
     if eps == 0.0:
         return
-    # the primal flux, a flux projected from outside the ball, a step to v
-    new, expected_new = _point(prob, v, eps), oracles.component_point(prob, v, eps)
+    # the primal flux, a flux projected from outside the ball, a step to
+    # v; _dual and _dual_step write to their point, so each case has its own
+    expected_new = oracles.component_point(prob, v, eps)
     flux = random_flux(prob, point, rng, rng.uniform(0.0, 3.0, size=point.norms.shape))
-    for dual, want in (
-        (_dual(prob, point), oracles.component_dual(prob, expected)),
-        (_dual(prob, point, flux), oracles.component_dual(prob, expected, flux)),
+    for case, want in (
+        (None, oracles.component_dual(prob, expected)),
+        (flux, oracles.component_dual(prob, expected, flux)),
     ):
-        assert np.array_equal(point.c, want.c)
-        assert np.array_equal(dual.sigma, [want.sigma1, want.sigma2])
-        assert np.array_equal(_dual_hessian(prob, dual), oracles.component_dual_hessian(prob, expected, want))
-        stepped = _dual_step(prob, dual, new)
+        old, new = _point(prob, u, eps), _point(prob, v, eps)
+        _dual(prob, old, case)
+        assert np.array_equal(old.c, want.c)
+        assert np.array_equal(old.sigma, [want.sigma1, want.sigma2])
+        assert np.array_equal(_dual_hessian(prob, old), oracles.component_dual_hessian(prob, expected, want))
+        _dual_step(prob, old, new)
         want = oracles.component_dual_step(prob, expected, want, expected_new)
-        assert np.array_equal(stepped.sigma, [want.sigma1, want.sigma2])
-        assert np.array_equal(_dual_hessian(prob, stepped), oracles.component_dual_hessian(prob, expected_new, want))
+        assert np.array_equal(new.c, want.c)
+        assert np.array_equal(new.sigma, [want.sigma1, want.sigma2])
+        assert np.array_equal(_dual_hessian(prob, new), oracles.component_dual_hessian(prob, expected_new, want))
 
 
 def test_trial_and_dual_step_leave_the_kept_arrays_unchanged():
-    # the accepted point, the dual's point and a line-search trial are
-    # alive at once: evaluating trials and stepping the dual writes into
-    # none of the arrays the first two hold
+    # the accepted point and a line-search trial are alive at once:
+    # evaluating trials and stepping the flux from the old point to the
+    # new one writes into none of the arrays the old point holds, its
+    # sigma, c and grads included
     prob, rng = smoothed_problem("jittered", 1.1, 0.0, 0.5, seed=31)
     eps = EPS_FINAL
     u = rng.standard_normal(prob.ops.n_interior)
-    g = gradient(prob, u, eps)
     objective(prob, u, eps)
-    point = _point(prob, u, eps)
-    dual = _dual(prob, point)
-    d, _ = _newton_direction(_dual_hessian(prob, dual), g, prob.ops.pattern)
-    kept = [point.u, *point.grads, point.mass_u, point.norms, point.scale, point.residual, point.c, dual.sigma]
+    old = prob._last
+    g = gradient(prob, old.u, eps)
+    _dual(prob, old)
+    d, _ = _newton_direction(_dual_hessian(prob, old), g, prob.ops.pattern)
+    kept = [old.u, *old.grads, old.mass_u, old.norms, old.scale, old.residual, old.c, old.sigma]
     before = [a.copy() for a in kept]
-    objective(prob, point.u + d, eps)
+    objective(prob, old.u + d, eps)
     new = prob._last
+    assert new is not old
     gradient(prob, new.u, eps)
     accepted = [new.u, *new.grads, new.mass_u, new.norms, new.scale, new.residual]
     before += [a.copy() for a in accepted]
-    stepped = _dual_step(prob, dual, new)
-    _dual_hessian(prob, stepped)
+    _dual_step(prob, old, new)
+    _dual_hessian(prob, new)
     objective(prob, new.u - 0.5 * d, eps)
     for a, b in zip(kept + accepted, before):
         assert np.array_equal(a, b)
     for a in kept:
-        assert not any(np.shares_memory(a, b) for b in (*accepted, new.c, stepped.sigma))
+        assert not any(np.shares_memory(a, b) for b in (*accepted, new.c, new.sigma))
 
 
 ISOTROPY_CASES = [
@@ -1156,18 +1181,19 @@ def test_step_evaluations_are_invariant_under_rotation(mesh_name, p, kappa, eps)
         # fluxes inside and outside the ball, projected, turn with the mesh
         point, turned_point = _point(prob, u, eps), _point(turned, u, eps)
         flux = random_flux(prob, point, rng, rng.uniform(0.0, 3.0, size=point.norms.shape))
-        dual = _dual(prob, point, flux)
-        turned_dual = _dual(turned, turned_point, np.array(rotate_rows(*flux, angle)))
-        for got, expected in zip(turned_dual.sigma, rotate_rows(*dual.sigma, angle)):
+        _dual(prob, point, flux)
+        _dual(turned, turned_point, np.array(rotate_rows(*flux, angle)))
+        for got, expected in zip(turned_point.sigma, rotate_rows(*point.sigma, angle)):
             assert_matches(got, expected)
         assert_matches(
-            band_to_dense(turned.ops.pattern, _dual_hessian(turned, turned_dual)),
-            band_to_dense(prob.ops.pattern, _dual_hessian(prob, dual)),
+            band_to_dense(turned.ops.pattern, _dual_hessian(turned, turned_point)),
+            band_to_dense(prob.ops.pattern, _dual_hessian(prob, point)),
         )
         # and so does the flux update to a second point
         v = u + 0.1 * rng.standard_normal(u.shape[0])
-        stepped = _dual_step(prob, dual, _point(prob, v, eps))
-        turned_stepped = _dual_step(turned, turned_dual, _point(turned, v, eps))
+        stepped, turned_stepped = _point(prob, v, eps), _point(turned, v, eps)
+        _dual_step(prob, point, stepped)
+        _dual_step(turned, turned_point, turned_stepped)
         for got, expected in zip(turned_stepped.sigma, rotate_rows(*stepped.sigma, angle)):
             assert_matches(got, expected)
 

@@ -115,3 +115,35 @@ def test_solve_step_forms_each_residual_once(monkeypatch, p):
             _, report = solve_step(prob, warm)
             assert counts["gradient"] == report.iterations + 3
             assert counts["residual"] <= report.iterations + 2
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.5])
+def test_solve_step_builds_one_point_per_new_iterate(monkeypatch, p):
+    # the warm start, the start candidate and each line-search trial are
+    # built once; the objective call that opens the Newton loop, every
+    # gradient and every Newton matrix find their point in the memo, so
+    # the loop rebuilds no point it owns
+    counts = {"objective": 0, "point": 0}
+    objective, point = splap.psolver.objective, splap.psolver._Point
+
+    def counting_objective(*args, **kwargs):
+        counts["objective"] += 1
+        return objective(*args, **kwargs)
+
+    def counting_point(*args, **kwargs):
+        counts["point"] += 1
+        return point(*args, **kwargs)
+
+    monkeypatch.setattr(splap.psolver, "objective", counting_objective)
+    monkeypatch.setattr(splap.psolver, "_Point", counting_point)
+    ops = assemble(generate_unit_square(6))
+    rng = np.random.default_rng(int(10 * p) + 2)
+    for tau in (0.02, 0.5):
+        for warm in (np.zeros(ops.n_interior), rng.standard_normal(ops.n_interior)):
+            prob = StepProblem(
+                ops=ops, params=GrowthParams(p), tau_m=tau, forcing=rng.standard_normal(3 * ops.n_simplices)
+            )
+            counts.update(objective=0, point=0)
+            _, report = solve_step(prob, warm)
+            assert report.iterations > 0
+            assert counts["point"] == counts["objective"] - 1
