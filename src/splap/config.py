@@ -191,6 +191,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"u0 must be finite, got {cfg.u0!r}")
     if cfg.workers < 0:
         raise ConfigError(f"workers must be >= 0, got {cfg.workers}")
+    if "#" in cfg.out_dir or "".join(cfg.out_dir.splitlines()) != cfg.out_dir:
+        # config.echo could not carry them: # starts a comment, a line break ends the value
+        raise ConfigError(f"out_dir must hold no '#' and no line break, got {cfg.out_dir!r}")
     if cfg.fit_taus is not None:
         for tau in cfg.fit_taus:
             if tau not in cfg.tau_ladder:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import CorrectionError, MonteCarloTable, corrected_rate, fit_rate, monte_carlo_estimate
-from .config import ExperimentConfig, echo_config, regression_taus
+from .config import ConfigError, ExperimentConfig, echo_config, regression_taus
 from .svgfig import render_loglog
 
 log = logging.getLogger("splap.experiment")
@@ -138,10 +138,20 @@ def read_results_csv(text: str) -> dict[float, dict]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    """Run the full protocol with ``cfg.workers`` and persist artifacts; 0 on a clean run."""
+    """Run the full protocol with ``cfg.workers`` and persist artifacts; 0 on a clean run.
+
+    The artifacts go to ``out_dir``, by default ``cfg.out_dir``, and
+    config.echo names the directory they went to.  A directory that
+    cannot be created raises ConfigError before any replicate runs.
+    """
+    if out_dir is not None:
+        cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
     workers = cfg.workers if cfg.workers > 0 else os.cpu_count() or 1
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
 
     fit_taus = regression_taus(cfg)
     tables = []

@@ -22,11 +22,14 @@ areas
     Simplex areas.
 pattern
     An InteriorPattern: the reverse Cuthill-McKee order of the interior
-    unknowns, fixed per mesh, in which every interior Newton system is a
-    LAPACK lower band of half-width kd; R P R' and R A R' as band data
-    vectors; and the fixed operator that maps stacked per-simplex
-    weights to the band data of their weighted stiffness.  A Newton
-    matrix is then a band data vector, the mass plus one sparse product.
+    unknowns (SciPy's order, computed by ``_reverse_cuthill_mckee`` so
+    that no process imports scipy.sparse.csgraph and the
+    scipy.sparse.linalg it loads), fixed per mesh, in which every
+    interior Newton system is a LAPACK lower band of half-width kd;
+    R P R' and R A R' as band data vectors; and the fixed operator that
+    maps stacked per-simplex weights to the band data of their weighted
+    stiffness.  A Newton matrix is then a band data vector, the mass
+    plus one sparse product.
     The pattern also keeps the Cholesky factor of the p = 2 start system
     R (P + tau A) R' for the last step size tau it was asked for.
 point_op
@@ -51,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .constitutive import GrowthParams, row_norms_sq, tensor_f_rows
 from .mesh import Mesh, MeshError, _signed_areas
@@ -115,6 +117,43 @@ class InteriorPattern:
         return factor
 
 
+def _reverse_cuthill_mckee(graph: sp.csr_matrix) -> np.ndarray:
+    """The order of scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True), tie for tie.
+
+    A node's degree is its row length, plus one if the row holds its
+    diagonal.  Breadth-first searches start from the unvisited node
+    first in ``np.argsort`` of the degrees; each visited node appends
+    its unvisited neighbours in column order, stably sorted by degree.
+    The search order, reversed, is the result.  The seeds follow
+    NumPy's default (unstable) sort, whose order among equal degrees
+    decides the band order as it does in SciPy.
+    """
+    ind, ptr = graph.indices, graph.indptr
+    n = graph.shape[0]
+    degree = np.diff(ptr).astype(ind.dtype)
+    row = np.repeat(np.arange(n), degree)
+    degree[row[row == ind]] += 1
+    deg, ind, ptr = degree.tolist(), ind.tolist(), ptr.tolist()
+    visited = [False] * n
+    order = []
+    for seed in np.argsort(degree).tolist():
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        order.append(seed)
+        head = len(order) - 1
+        while head < len(order):
+            i = order[head]
+            head += 1
+            start = len(order)
+            for j in ind[ptr[i] : ptr[i + 1]]:
+                if not visited[j]:
+                    visited[j] = True
+                    order.append(j)
+            order[start:] = sorted(order[start:], key=deg.__getitem__)
+    return np.array(order[::-1], dtype=graph.indices.dtype)
+
+
 def _interior_pattern(
     t: np.ndarray, interior: np.ndarray, nv: int, local_mass: np.ndarray, areas: np.ndarray, gx: np.ndarray, gy: np.ndarray
 ) -> InteriorPattern:
@@ -127,9 +166,7 @@ def _interior_pattern(
     cols = np.broadcast_to(lt[:, None, :], lt.shape + (3,)).ravel()
     inner = np.flatnonzero((rows >= 0) & (cols >= 0))
     rows, cols = rows[inner], cols[inner]
-    graph = sp.csr_matrix((np.ones(inner.shape[0]), (rows, cols)), shape=(ni, ni))
-    # csgraph's RCM rejects an empty graph; a mesh may have no interior vertex.
-    perm = reverse_cuthill_mckee(graph, symmetric_mode=True) if ni else np.arange(0)
+    perm = _reverse_cuthill_mckee(sp.csr_matrix((np.ones(inner.shape[0]), (rows, cols)), shape=(ni, ni)))
     rank = np.empty(ni, dtype=np.int64)
     rank[perm] = np.arange(ni)
     rows, cols = rank[rows], rank[cols]

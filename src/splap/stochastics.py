@@ -5,11 +5,14 @@ Reproducibility contract
 All randomness flows through the counter-based Philox bit generator and
 a documented transform: 64-bit words are mapped to uniforms in (0, 1)
 by ``u = ((word >> 11) + 0.5) * 2**-53`` and to standard normals by the
-inverse normal CDF.  The same seed therefore reproduces the same
-increments bit for bit, independent of call order or platform word
-order.  Replicate streams are derived from a master seed with a
-splitmix64 mix, which is a bijection of the stream index, so distinct
-replicates can never collide.
+inverse normal CDF, computed in-house by the Cephes ``ndtri`` algorithm
+(Moshier, *Methods and Programs for Mathematical Functions*, 1989) in
+scalar double arithmetic.  It gives the bits of ``scipy.special.ndtri``,
+but the normals do not depend on the installed SciPy.  The same seed
+therefore reproduces the same increments bit for bit, independent of
+call order or platform word order.  Replicate streams are derived from
+a master seed with a splitmix64 mix, which is a bijection of the stream
+index, so distinct replicates can never collide.
 
 Paths store i.i.d. fine-grid increments N(0, tau_fine).  Any coarser
 increment is the ordered left-to-right partial sum of the stored fine
@@ -26,10 +29,10 @@ points stay strictly increasing and every step lies in [tau/2, 3*tau/2].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .fem import FemOperators
 from .mesh import Mesh
@@ -59,9 +62,65 @@ def _uniform01(seed: int, n: int) -> np.ndarray:
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+# Cephes ndtri: rational approximations in (y - 1/2)^2 on the centre
+# [e^-2, 1 - e^-2] and in z = 1/sqrt(-2 ln y) on the tails, z < 1/8
+# past y = e^-32.  Each Q leads with 1, whose product is exact, so
+# Horner from 1 gives the bits of Cephes' p1evl.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242e0
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0, -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1, -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2, 3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """The polynomial with coefficients ``coef``, leading first, by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Inverse of the standard normal CDF at y in [0, 1], Cephes' operations in Cephes' order.
+
+    Scalar ``math.log`` keeps the bits of the C library's log, which a
+    vectorised NumPy log does not on every input.  y = 1 gives inf, as
+    in Cephes; ``_uniform01`` returns it for the words from 2**64 - 2**11 up.
+    """
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x0 - z * _polevl(z, p) / _polevl(z, q)
+    return x if upper else -x
+
+
 def standard_normals(seed: int, n: int) -> np.ndarray:
     """n standard normals via the inverse-CDF transform of Philox uniforms."""
-    return ndtri(_uniform01(seed, n))
+    return np.array([_ndtri(u) for u in _uniform01(seed, n).tolist()], dtype=np.float64)
 
 
 @dataclass(frozen=True)

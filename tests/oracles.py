@@ -155,6 +155,22 @@ def restriction(ops):
     return sp.csr_matrix((np.ones(ni), (np.arange(ni), ops.interior)), shape=(ni, ops.n_vertices))
 
 
+def interior_graph(mesh):
+    """The interior coupling graph as a canonical CSR matrix, ones where two interior vertices share a simplex.
+
+    Vertices are numbered in the rising order of ``interior``, and each
+    vertex couples with itself, as in the graph ``assemble`` orders.
+    """
+    interior = np.flatnonzero(~mesh.boundary_vertex_flags)
+    local = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    local[interior] = np.arange(interior.shape[0])
+    lt = local[mesh.simplices]
+    rows, cols = np.repeat(lt, 3, axis=1).ravel(), np.tile(lt, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = interior.shape[0]
+    return sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])), shape=(n, n))
+
+
 def stiffness(ops):
     """A = sum_i Di' diag(areas) Di; the p = 2 diffusion operator."""
     d1, d2 = ops.dgrad

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splap
 from splap.cli import main
 from splap.config import ExperimentConfig, parse_config, regression_taus
 from splap.experiment import (
@@ -102,9 +106,10 @@ def test_summary_recomputable_from_csv(smoke_run):
 
 
 def test_config_echo_parses_back(smoke_run):
+    # the echo names the directory the run wrote, not cfg.out_dir
     cfg, out, _ = smoke_run
     echoed = parse_config((out / "config.echo").read_text())
-    assert echoed == cfg
+    assert echoed == dataclasses.replace(cfg, out_dir=str(out))
 
 
 def test_run_log_is_json_lines(smoke_run):
@@ -280,6 +285,31 @@ def test_cli_workers_flag_is_validated_like_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_out_dir_that_cannot_be_created_is_bad_usage(tmp_path, capsys):
+    # a regular file where the output directory should go fails before
+    # any replicate runs, with the path in the message
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("p_list = 2.5\nmesh_n = 2\ntau_ladder = 1/2, 1/4, 1/8\ntau_ref = 1/8\nn_r = 1\n")
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert main(["run", "--config", str(cfg_file), "--out", str(afile), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err and str(afile) in err
+    assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("out_name", ["x#y", "x\ny", "x\ry"])
+def test_cli_out_dir_the_echo_cannot_carry_is_bad_usage(tmp_path, capsys, out_name):
+    # config.echo is key = value lines with # comments: an out_dir with a
+    # # or a line break would parse back as another directory
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("p_list = 2.5\nmesh_n = 2\ntau_ladder = 1/2, 1/4, 1/8\ntau_ref = 1/8\nn_r = 1\n")
+    out = tmp_path / out_name
+    assert main(["run", "--config", str(cfg_file), "--out", str(out), "--workers", "1"]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_seed_override(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("p_list = 1.5\nmesh_n = 4\ntau_ladder = 1/2, 1/4\ntau_ref = 1/8\nn_r = 2\n")
@@ -289,3 +319,23 @@ def test_cli_seed_override(tmp_path):
         ["run", "--config", str(cfg_file), "--out", str(b), "--workers", "1", "--seed", "99"]
     ) in (0, 1)
     assert (a / "results.csv").read_bytes() != (b / "results.csv").read_bytes()
+
+
+def test_a_run_loads_neither_special_functions_nor_csgraph(tmp_path):
+    # splap computes the inverse normal CDF and the band order itself, so
+    # a fresh process that runs an experiment never pays for importing
+    # scipy.special or scipy.sparse.csgraph, nor for the
+    # scipy.sparse.linalg that csgraph drags in
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("p_list = 1.5\nmesh_n = 4\ntau_ladder = 1/2, 1/4\ntau_ref = 1/8\nn_r = 2\n")
+    script = (
+        "import sys\n"
+        "from splap.cli import main\n"
+        f"status = main(['run', '--config', {str(cfg_file)!r}, '--out', {str(tmp_path / 'out')!r}, '--workers', '1'])\n"
+        "heavy = ('scipy.special', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')\n"
+        "print(status, sorted(m for m in sys.modules if any(m == h or m.startswith(h + '.') for h in heavy)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(splap.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() in ("0 []", "1 []")

@@ -3,11 +3,13 @@
 import numpy as np
 import oracles
 import pytest
+import scipy.sparse as sp
 from oracles import (
     band_slots,
     band_to_dense,
     basis_gradients,
     broken_embed,
+    interior_graph,
     jittered_mesh,
     make_mesh,
     nodal_interpolate,
@@ -15,9 +17,10 @@ from oracles import (
     rotated_mesh,
     stiffness,
 )
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from splap.constitutive import GrowthParams
-from splap.fem import assemble, gradient_per_simplex, l2_error_sq, quasinorm_error_sq
+from splap.fem import _reverse_cuthill_mckee, assemble, gradient_per_simplex, l2_error_sq, quasinorm_error_sq
 from splap.mesh import generate_unit_square
 
 
@@ -214,6 +217,48 @@ def test_interior_pattern_holds_restricted_operators():
         np.testing.assert_allclose(band_to_dense(pattern, pattern.stiffness), stiff, rtol=1e-13, atol=1e-13)
         k = np.sum(~mesh.boundary_vertex_flags[mesh.simplices], axis=1)
         assert band_slots(ops)[0].shape[0] == int(np.sum(k * (k + 1) // 2))
+
+
+def test_band_order_is_csgraph_rcm_on_meshes():
+    # the in-house reverse Cuthill-McKee gives SciPy's order, ties
+    # included, on every structured mesh up to 64 (mesh 1 has no interior
+    # vertex) and on jittered meshes numbered at random; the pattern
+    # holds that order
+    meshes = [generate_unit_square(n) for n in range(2, 65)]
+    meshes += [jittered_mesh(n, seed) for n in (4, 8, 16, 32) for seed in range(6)]
+    for mesh in meshes:
+        graph = interior_graph(mesh)
+        expected = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        assert np.array_equal(_reverse_cuthill_mckee(graph), expected)
+        if mesh.n_vertices <= 300:
+            assert np.array_equal(assemble(mesh).pattern.perm, expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_band_order_is_csgraph_rcm_on_general_graphs(seed):
+    # graphs no mesh makes: several components, isolated nodes, rows
+    # without their diagonal and columns out of order
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(1, 50))
+        a = sp.random(n, n, density=rng.uniform(0.0, 0.2), random_state=rng, format="csr")
+        a = (a + a.T).tocsr()
+        if rng.random() < 0.5:
+            a.setdiag(0.0)
+            a.eliminate_zeros()
+        for i in range(n):
+            row = slice(a.indptr[i], a.indptr[i + 1])
+            a.indices[row] = rng.permutation(a.indices[row])
+        a.has_sorted_indices = False
+        assert np.array_equal(_reverse_cuthill_mckee(a), reverse_cuthill_mckee(a, symmetric_mode=True))
+
+
+def test_band_order_of_the_empty_graph():
+    # csgraph rejects a graph without nodes; a mesh without interior
+    # vertices has one
+    assert _reverse_cuthill_mckee(sp.csr_matrix((0, 0))).shape == (0,)
+    pattern = assemble(generate_unit_square(1)).pattern
+    assert pattern.perm.shape == (0,) and pattern.kd == 0
 
 
 @pytest.mark.parametrize("m", [4, 16, 32])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import broken_embed
 from scipy import stats
+from scipy.special import ndtri
 
 from splap.analysis import _path_layout
 from splap.config import ExperimentConfig, sigma_function
@@ -11,6 +12,8 @@ from splap.fem import assemble
 from splap.mesh import generate_unit_square
 from splap.stochastics import (
     NoiseCoefficient,
+    _ndtri,
+    _uniform01,
     increment,
     make_noise_coefficient,
     mix_seed,
@@ -65,6 +68,39 @@ def test_fine_increments_standard_normal():
 def test_standard_normals_deterministic():
     assert np.array_equal(standard_normals(5, 100), standard_normals(5, 100))
     assert not np.array_equal(standard_normals(5, 100), standard_normals(6, 100))
+
+
+def test_standard_normals_are_scipy_ndtri_bit_for_bit():
+    # the in-house Cephes port gives scipy.special.ndtri's bits on a
+    # million Philox uniforms
+    z = standard_normals(2024, 1_000_000)
+    np.testing.assert_array_equal(z.view(np.int64), ndtri(_uniform01(2024, 1_000_000)).view(np.int64))
+
+
+def _walk(y, steps):
+    """``steps`` doubles on each side of y, adjacent ones first."""
+    down, up = [y], [y]
+    for _ in range(steps):
+        down.append(np.nextafter(down[-1], 0.0))
+        up.append(np.nextafter(up[-1], 1.0))
+    return down + up
+
+
+def test_ndtri_port_at_the_branch_edges_and_tails():
+    e2 = 0.13533528323661269189
+    ys = _walk(e2, 64) + _walk(1.0 - e2, 64) + _walk(0.5, 8)
+    # the extreme uniforms ((word >> 11) + 0.5) * 2**-53 of the words 0
+    # and 2**64 - 1; the second rounds to 1.0
+    ys += list(((np.array([0, 2**64 - 1], dtype=np.uint64) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    # sqrt(-2 ln y) >= 8 below e^-32 and above 1 - e^-32, and the tails
+    # down to e^-700 and 1 - 2^-53
+    ys += _walk(np.exp(-32.0), 64) + _walk(1.0 - np.exp(-32.0), 64)
+    ys += list(np.exp(-np.linspace(0.0, 700.0, 20_001))) + list(1.0 - np.arange(1, 2_000) * 2.0**-53)
+    ys += [2.0**-54, 2.0**-1074, 0.0, 1.0]
+    ys = np.array(ys)
+    assert np.sum(np.sqrt(-2.0 * np.log(np.minimum(ys, 1.0 - ys)[(ys > 0.0) & (ys < 1.0)])) >= 8.0) > 100
+    ours = np.array([_ndtri(y) for y in ys.tolist()])
+    np.testing.assert_array_equal(ours.view(np.int64), ndtri(ys).view(np.int64))
 
 
 def test_increment_examples():
